@@ -57,11 +57,22 @@ Rule2Form rule2_form_of(RuleSet rs) {
   return rs == RuleSet::kID ? Rule2Form::kSimple : Rule2Form::kRefined;
 }
 
-CdsResult compute_cds_custom(const Graph& g, KeyKind kind,
+RuleConfig rule_config_of(RuleSet rs, Strategy strategy) {
+  RuleConfig config;
+  config.use_rule1 = rs != RuleSet::kNR;
+  config.use_rule2 = rs != RuleSet::kNR;
+  config.rule2_form = rule2_form_of(rs);
+  config.strategy = strategy;
+  return config;
+}
+
+void compute_cds_custom_into(const Graph& g, KeyKind kind,
                              const RuleConfig& config,
                              const std::vector<double>& energy,
-                             CliquePolicy clique_policy, const ExecContext& ctx,
-                             const std::vector<double>& stability) {
+                             CliquePolicy clique_policy,
+                             const ExecContext& ctx,
+                             const std::vector<double>& stability,
+                             CdsResult& out) {
   const bool needs_energy = kind == KeyKind::kEnergyId ||
                             kind == KeyKind::kEnergyDegreeId ||
                             kind == KeyKind::kStabilityEnergyId;
@@ -88,24 +99,33 @@ CdsResult compute_cds_custom(const Graph& g, KeyKind kind,
   ExecContext run_ctx = ctx;
   if (run_ctx.workspace == nullptr) run_ctx.workspace = &local_ws;
 
-  CdsResult result;
   {
     const obs::PhaseTimer timer(ctx.metrics, obs::Phase::kMarking);
-    marking_process_into(g, run_ctx, result.marked_only);
+    marking_process_into(g, run_ctx, out.marked_only);
   }
-  result.marked_count = result.marked_only.count();
-  result.gateways = result.marked_only;
+  out.marked_count = out.marked_only.count();
+  out.gateways = out.marked_only;
   {
     const obs::PhaseTimer timer(ctx.metrics, obs::Phase::kRules);
-    apply_rules(g, key, config, run_ctx, result.gateways);
-    apply_clique_policy(g, key, clique_policy, result.gateways);
+    apply_rules(g, key, config, run_ctx, out.gateways);
+    apply_clique_policy(g, key, clique_policy, out.gateways);
   }
-  result.gateway_count = result.gateways.count();
+  out.gateway_count = out.gateways.count();
   if (ctx.metrics != nullptr) {
     ctx.metrics->add(obs::Counter::kFullRefreshes);
     ctx.metrics->add(obs::Counter::kNodesTouched,
                      static_cast<std::uint64_t>(g.num_nodes()));
   }
+}
+
+CdsResult compute_cds_custom(const Graph& g, KeyKind kind,
+                             const RuleConfig& config,
+                             const std::vector<double>& energy,
+                             CliquePolicy clique_policy, const ExecContext& ctx,
+                             const std::vector<double>& stability) {
+  CdsResult result;
+  compute_cds_custom_into(g, kind, config, energy, clique_policy, ctx,
+                          stability, result);
   return result;
 }
 
@@ -113,12 +133,8 @@ CdsResult compute_cds(const Graph& g, RuleSet rs,
                       const std::vector<double>& energy,
                       const CdsOptions& options, const ExecContext& ctx,
                       const std::vector<double>& stability) {
-  RuleConfig config;
-  config.use_rule1 = rs != RuleSet::kNR;
-  config.use_rule2 = rs != RuleSet::kNR;
-  config.rule2_form = rule2_form_of(rs);
-  config.strategy = options.strategy;
-  return compute_cds_custom(g, key_kind_of(rs), config, energy,
+  return compute_cds_custom(g, key_kind_of(rs),
+                            rule_config_of(rs, options.strategy), energy,
                             options.clique_policy, ctx, stability);
 }
 

@@ -52,6 +52,11 @@ inline constexpr RuleSet kAllRuleSets[] = {RuleSet::kNR, RuleSet::kID,
 /// kRefined for the a/b/b' families.
 [[nodiscard]] Rule2Form rule2_form_of(RuleSet rs);
 
+/// The rule configuration a scheme runs under `strategy` (kNR applies no
+/// rules): compute_cds(g, rs, ...) is compute_cds_custom(g, key_kind_of(rs),
+/// rule_config_of(rs, strategy), ...).
+[[nodiscard]] RuleConfig rule_config_of(RuleSet rs, Strategy strategy);
+
 /// Options for compute_cds beyond the scheme itself.
 struct CdsOptions {
   /// kSequential is the safe default (see Strategy docs); kSimultaneous is
@@ -94,5 +99,15 @@ struct CdsResult {
     const std::vector<double>& energy = {},
     CliquePolicy clique_policy = CliquePolicy::kNone,
     const ExecContext& ctx = {}, const std::vector<double>& stability = {});
+
+/// As compute_cds_custom, writing into `out`: a warm result's bitsets are
+/// reused, so with a warm workspace in `ctx` the call allocates nothing.
+void compute_cds_custom_into(const Graph& g, KeyKind kind,
+                             const RuleConfig& config,
+                             const std::vector<double>& energy,
+                             CliquePolicy clique_policy,
+                             const ExecContext& ctx,
+                             const std::vector<double>& stability,
+                             CdsResult& out);
 
 }  // namespace pacds

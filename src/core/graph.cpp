@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <deque>
 #include <stdexcept>
 #include <string>
@@ -39,6 +40,82 @@ Graph Graph::from_edges(NodeId n,
   Graph g(n);
   for (const auto& [u, v] : edges) g.add_edge(u, v);
   return g;
+}
+
+void Graph::assign_upper(NodeId n, std::span<const std::size_t> offsets,
+                         std::span<const NodeId> upper) {
+  if (n < 0) throw std::invalid_argument("Graph::assign_upper: negative n");
+  const auto nn = static_cast<std::size_t>(n);
+  if (offsets.size() != nn + 1 || offsets[0] != 0 ||
+      offsets[nn] != upper.size()) {
+    throw std::invalid_argument("Graph::assign_upper: bad row offsets");
+  }
+  for (std::size_t u = 0; u < nn; ++u) {
+    if (offsets[u] > offsets[u + 1]) {
+      throw std::invalid_argument("Graph::assign_upper: bad row offsets");
+    }
+    for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      if (upper[k] <= static_cast<NodeId>(u) || upper[k] >= n) {
+        throw std::invalid_argument(
+            "Graph::assign_upper: entry " + std::to_string(upper[k]) +
+            " of row " + std::to_string(u) + " not in (row, n)");
+      }
+    }
+  }
+  n_ = n;
+  m_ = upper.size();
+  dead_ = 0;
+  begin_.resize(nn);
+  cap_.resize(nn);
+  deg_.assign(nn, 0);
+  for (std::size_t u = 0; u < nn; ++u) {
+    deg_[u] += static_cast<NodeId>(offsets[u + 1] - offsets[u]);
+    for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      ++deg_[static_cast<std::size_t>(upper[k])];
+    }
+  }
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < nn; ++v) {
+    const auto deg = static_cast<std::uint32_t>(deg_[v]);
+    cap_[v] = deg == 0 ? 0
+                       : std::max(kMinSliceCap,
+                                  static_cast<NodeId>(std::bit_ceil(deg)));
+    begin_[v] = total;
+    total += static_cast<std::size_t>(cap_[v]);
+  }
+  arena_.resize(total);
+  // deg_ now serves as the fill cursor. Lower halves first: walking rows u
+  // in ascending order appends u to each of its upper neighbors, so every
+  // slice receives its smaller ids already sorted.
+  std::fill(deg_.begin(), deg_.end(), 0);
+  for (std::size_t u = 0; u < nn; ++u) {
+    for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      const auto v = static_cast<std::size_t>(upper[k]);
+      NodeId* slot = arena_.data() + begin_[v] + deg_[v];
+      if (deg_[v] > 0 && slot[-1] == static_cast<NodeId>(u)) {
+        *this = Graph(n);
+        throw std::invalid_argument("Graph::assign_upper: repeated entry " +
+                                    std::to_string(v) + " in row " +
+                                    std::to_string(u));
+      }
+      *slot = static_cast<NodeId>(u);
+      ++deg_[v];
+    }
+  }
+  // Upper halves: transposing the sorted lower halves in ascending order
+  // appends each larger id w behind the smaller ones, again sorted. When
+  // the walk reaches w, deg_[w] still counts only its lower half, because
+  // its upper entries come from rows after w.
+  for (std::size_t w = 0; w < nn; ++w) {
+    const NodeId* lower = arena_.data() + begin_[w];
+    const auto lower_count = static_cast<std::size_t>(deg_[w]);
+    for (std::size_t k = 0; k < lower_count; ++k) {
+      const auto u = static_cast<std::size_t>(lower[k]);
+      arena_[begin_[u] + static_cast<std::size_t>(deg_[u]++)] =
+          static_cast<NodeId>(w);
+    }
+  }
+  stamp();
 }
 
 void Graph::check_node(NodeId v, const char* what) const {
@@ -126,6 +203,11 @@ std::span<const NodeId> Graph::neighbors(NodeId v) const {
 NodeId Graph::degree(NodeId v) const {
   check_node(v, "degree");
   return deg_[static_cast<std::size_t>(v)];
+}
+
+NodeId Graph::slice_capacity(NodeId v) const {
+  check_node(v, "slice_capacity");
+  return cap_[static_cast<std::size_t>(v)];
 }
 
 DynBitset Graph::closed_row(NodeId v) const {

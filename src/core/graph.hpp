@@ -9,10 +9,12 @@
 // in place; a slice that outgrows its capacity is relocated to the end of
 // the arena with doubled capacity (the abandoned slot is dead space, bounded
 // by the geometric growth to less than the live allocation, so the arena is
-// O(n + m) bits total — no per-vertex O(n)-bit rows anywhere). Coverage
-// predicates run as sorted-merge scans over the slices; callers that want
-// word-parallel tests build dense rows per tile or via DenseAdjacency, never
-// globally.
+// O(n + m) bits total — no per-vertex O(n)-bit rows anywhere). Whole link
+// sets are written in bulk by assign_upper, which lays the slices out back
+// to back with the capacities edge-by-edge growth would have reached.
+// Coverage predicates run as sorted-merge scans over the slices; callers
+// that want word-parallel tests build dense rows per tile or via
+// DenseAdjacency, never globally.
 
 #include <cstdint>
 #include <optional>
@@ -44,6 +46,20 @@ class Graph {
   static Graph from_edges(NodeId n,
                           const std::vector<std::pair<NodeId, NodeId>>& edges);
 
+  /// Bulk CSR construction: replaces the whole graph with the one on `n`
+  /// vertices whose edges are {u, v} for every v in
+  /// upper[offsets[u], offsets[u + 1]). Every such v must satisfy
+  /// u < v < n and appear once in its row; rows need not be sorted.
+  /// Two transposes (no per-row sort) leave every slice sorted, each slice
+  /// gets the capacity add_edge growth would have given it —
+  /// max(4, bit_ceil(degree)), or 0 for an isolated vertex — and the graph
+  /// takes one fresh version stamp. Reuses this graph's storage, so a
+  /// rebuild that fits the previous arena allocates nothing. Throws
+  /// std::invalid_argument on malformed input (the graph is left
+  /// unchanged, or edgeless on n vertices for a repeated entry).
+  void assign_upper(NodeId n, std::span<const std::size_t> offsets,
+                    std::span<const NodeId> upper);
+
   [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return m_; }
 
@@ -61,6 +77,10 @@ class Graph {
 
   /// Degree |N(v)| — the paper's nd(v).
   [[nodiscard]] NodeId degree(NodeId v) const;
+
+  /// Slots reserved for v's slice (degree plus slack): 0 until v gets an
+  /// edge, then max(4, bit_ceil(degree)) under add_edge growth.
+  [[nodiscard]] NodeId slice_capacity(NodeId v) const;
 
   /// Closed neighborhood N[v] = N(v) ∪ {v} (materialized n-bit copy; for
   /// tests and cold paths — hot kernels use the merge predicates below).

@@ -101,11 +101,16 @@ bool PriorityKey::is_min_of_three(NodeId v, NodeId u, NodeId w) const {
 }
 
 std::vector<NodeId> PriorityKey::ascending_order() const {
-  std::vector<NodeId> order(static_cast<std::size_t>(graph_->num_nodes()));
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::sort(order.begin(), order.end(),
-            [this](NodeId a, NodeId b) { return less(a, b); });
+  std::vector<NodeId> order;
+  ascending_order_into(order);
   return order;
+}
+
+void PriorityKey::ascending_order_into(std::vector<NodeId>& out) const {
+  out.resize(static_cast<std::size_t>(graph_->num_nodes()));
+  std::iota(out.begin(), out.end(), NodeId{0});
+  std::sort(out.begin(), out.end(),
+            [this](NodeId a, NodeId b) { return less(a, b); });
 }
 
 }  // namespace pacds

@@ -70,6 +70,10 @@ class PriorityKey {
   /// Nodes of the graph sorted by ascending priority.
   [[nodiscard]] std::vector<NodeId> ascending_order() const;
 
+  /// As ascending_order, into `out` (reused: no allocation once its
+  /// capacity covers the node count).
+  void ascending_order_into(std::vector<NodeId>& out) const;
+
  private:
   [[nodiscard]] double energy_of(NodeId v) const;
   [[nodiscard]] double stability_of(NodeId v) const;

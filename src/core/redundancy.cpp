@@ -36,7 +36,8 @@ DynBitset augment_m_domination(const Graph& g, const DynBitset& gateways,
               [&key](NodeId a, NodeId b) { return key.less(b, a); });
     for (int i = 0; i < needed && i < static_cast<int>(candidates.size());
          ++i) {
-      result.set(static_cast<std::size_t>(candidates[i]));
+      result.set(static_cast<std::size_t>(
+          candidates[static_cast<std::size_t>(i)]));
     }
   }
   return result;
@@ -83,8 +84,7 @@ DynBitset augment_biconnectivity(const Graph& g, const DynBitset& gateways,
     bool patched = false;
     cuts.for_each_set([&](std::size_t cut_idx) {
       if (patched) return;
-      const auto a = static_cast<NodeId>(cut_idx);
-      // Label the components of (backbone - a).
+      // Label the components of the backbone minus the cut vertex.
       DynBitset without_a = result;
       without_a.reset(cut_idx);
       std::vector<NodeId> mapping;
@@ -97,7 +97,7 @@ DynBitset augment_biconnectivity(const Graph& g, const DynBitset& gateways,
             comp[static_cast<std::size_t>(i)];
       }
       // A non-backbone host adjacent to two different components merges a
-      // block boundary around `a`.
+      // block boundary around the cut vertex.
       for (NodeId h = 0; h < g.num_nodes(); ++h) {
         if (result.test(static_cast<std::size_t>(h))) continue;
         NodeId first = -1;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace pacds {
 
 bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
@@ -109,14 +111,14 @@ DynBitset simultaneous_rule_k_pass(const Graph& g, const PriorityKey& key,
 
 void apply_rule_k(const Graph& g, const PriorityKey& key, Strategy strategy,
                   const ExecContext& ctx, DynBitset& marked) {
+  CdsWorkspace local;
+  CdsWorkspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
   switch (strategy) {
     case Strategy::kSimultaneous: {
       // One pass is the distributed semantics; iterating to a fixpoint only
       // removes nodes whose covers shrank, which the safety argument also
       // permits. We run a single pass for fidelity with the distributed
       // algorithm.
-      CdsWorkspace local;
-      CdsWorkspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
       ExecContext pass_ctx = ctx;
       pass_ctx.workspace = &ws;
       simultaneous_rule_k_pass_into(g, key, marked, pass_ctx, ws.stage);
@@ -125,19 +127,16 @@ void apply_rule_k(const Graph& g, const PriorityKey& key, Strategy strategy,
     }
     case Strategy::kSequential:
     case Strategy::kVerified: {
-      // Sequential sweeps to a fixpoint in ascending key order. Rule k
-      // removals are provably safe, so kVerified needs no extra checking.
-      const auto order = key.ascending_order();
-      for (int sweep = 0; sweep < 64; ++sweep) {
-        bool changed = false;
-        for (const NodeId v : order) {
-          if (!marked.test(static_cast<std::size_t>(v))) continue;
-          if (rule_k_would_unmark(g, marked, key, v)) {
-            marked.reset(static_cast<std::size_t>(v));
-            changed = true;
-          }
+      // One sweep in ascending key order reaches the fixpoint (see the
+      // header); Rule k removals are provably safe, so kVerified needs no
+      // extra checking.
+      const DenseAdjacency* dense = ws.dense.sync(g) ? &ws.dense : nullptr;
+      key.ascending_order_into(ws.order);
+      for (const NodeId v : ws.order) {
+        if (marked.test(static_cast<std::size_t>(v)) &&
+            rule_k_would_unmark(g, marked, key, v, dense)) {
+          marked.reset(static_cast<std::size_t>(v));
         }
-        if (!changed) break;
       }
       return;
     }
@@ -149,11 +148,12 @@ void apply_rule_k(const Graph& g, const PriorityKey& key, Strategy strategy,
   apply_rule_k(g, key, strategy, ExecContext{}, marked);
 }
 
-CdsResult compute_cds_rule_k(const Graph& g, KeyKind kind,
+void compute_cds_rule_k_into(const Graph& g, KeyKind kind,
                              const std::vector<double>& energy,
                              Strategy strategy, CliquePolicy clique_policy,
                              const ExecContext& ctx,
-                             const std::vector<double>& stability) {
+                             const std::vector<double>& stability,
+                             CdsResult& out) {
   const bool needs_energy = kind == KeyKind::kEnergyId ||
                             kind == KeyKind::kEnergyDegreeId ||
                             kind == KeyKind::kStabilityEnergyId;
@@ -169,13 +169,38 @@ CdsResult compute_cds_rule_k(const Graph& g, KeyKind kind,
   }
   const PriorityKey key(kind, g, needs_energy ? &energy : nullptr,
                         stability.empty() ? nullptr : &stability);
+  // One workspace for the whole pipeline, as in compute_cds_custom, so
+  // marking and the Rule k pass share a single dense-row sync.
+  CdsWorkspace local_ws;
+  ExecContext run_ctx = ctx;
+  if (run_ctx.workspace == nullptr) run_ctx.workspace = &local_ws;
+  {
+    const obs::PhaseTimer timer(ctx.metrics, obs::Phase::kMarking);
+    marking_process_into(g, run_ctx, out.marked_only);
+  }
+  out.marked_count = out.marked_only.count();
+  out.gateways = out.marked_only;
+  {
+    const obs::PhaseTimer timer(ctx.metrics, obs::Phase::kRules);
+    apply_rule_k(g, key, strategy, run_ctx, out.gateways);
+    apply_clique_policy(g, key, clique_policy, out.gateways);
+  }
+  out.gateway_count = out.gateways.count();
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->add(obs::Counter::kFullRefreshes);
+    ctx.metrics->add(obs::Counter::kNodesTouched,
+                     static_cast<std::uint64_t>(g.num_nodes()));
+  }
+}
+
+CdsResult compute_cds_rule_k(const Graph& g, KeyKind kind,
+                             const std::vector<double>& energy,
+                             Strategy strategy, CliquePolicy clique_policy,
+                             const ExecContext& ctx,
+                             const std::vector<double>& stability) {
   CdsResult result;
-  marking_process_into(g, ctx.executor, result.marked_only);
-  result.marked_count = result.marked_only.count();
-  result.gateways = result.marked_only;
-  apply_rule_k(g, key, strategy, ctx, result.gateways);
-  apply_clique_policy(g, key, clique_policy, result.gateways);
-  result.gateway_count = result.gateways.count();
+  compute_cds_rule_k_into(g, kind, energy, strategy, clique_policy, ctx,
+                          stability, result);
   return result;
 }
 

@@ -48,21 +48,35 @@ void simultaneous_rule_k_pass_into(const Graph& g, const PriorityKey& key,
                                    const DynBitset& marked, Executor* exec,
                                    DynBitset& next);
 
-/// Applies Rule k to `marked` in place with the chosen strategy
-/// (simultaneous passes iterate to a fixpoint; sequential sweeps in
-/// ascending key order). The ExecContext overload shards the simultaneous
-/// pass; sequential strategies always run serially.
+/// Applies Rule k to `marked` in place with the chosen strategy: one
+/// simultaneous pass (the distributed semantics), or one sequential sweep
+/// in ascending key order — which is the sequential fixpoint, because
+/// whether v fires is monotone in the marked set (DESIGN.md §5). Rule k
+/// removals are provably safe, so kVerified runs the plain sweep. The
+/// ExecContext overload shards the simultaneous pass, and both strategies
+/// use the workspace's dense rows when active; the sweep always runs
+/// serially.
 void apply_rule_k(const Graph& g, const PriorityKey& key, Strategy strategy,
                   DynBitset& marked);
 void apply_rule_k(const Graph& g, const PriorityKey& key, Strategy strategy,
                   const ExecContext& ctx, DynBitset& marked);
 
-/// Marking process + Rule k in one call, mirroring compute_cds. `ctx`
-/// shards the marking and Rule-k passes across its executor when set.
+/// Marking process + Rule k in one call, mirroring compute_cds: `ctx`
+/// shards the marking and Rule-k passes across its executor, shares one
+/// dense-row sync between them, and receives the marking and rules phase
+/// times plus the full-refresh counters.
 [[nodiscard]] CdsResult compute_cds_rule_k(
     const Graph& g, KeyKind kind, const std::vector<double>& energy = {},
     Strategy strategy = Strategy::kSimultaneous,
     CliquePolicy clique_policy = CliquePolicy::kNone,
     const ExecContext& ctx = {}, const std::vector<double>& stability = {});
+
+/// As compute_cds_rule_k, writing into `out` (its bitsets are reused).
+void compute_cds_rule_k_into(const Graph& g, KeyKind kind,
+                             const std::vector<double>& energy,
+                             Strategy strategy, CliquePolicy clique_policy,
+                             const ExecContext& ctx,
+                             const std::vector<double>& stability,
+                             CdsResult& out);
 
 }  // namespace pacds

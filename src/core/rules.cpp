@@ -303,25 +303,38 @@ DynBitset simultaneous_rule2_pass(const Graph& g, const PriorityKey& key,
 
 namespace {
 
+/// One sweep in ascending key order, each removal taking effect at once.
+/// No second sweep can remove anything: whether v fires depends on the
+/// marked set only through v's marked neighbors (the coverage tests read
+/// the graph and the keys), so it is monotone in that set, and so is
+/// removal_is_safe; marks only shrink, so a node that did not fire — or was
+/// unsafe — when visited never becomes removable later.
 void apply_sequential(const Graph& g, const PriorityKey& key,
                       const RuleConfig& config, bool verified,
-                      DynBitset& marked) {
-  const auto order = key.ascending_order();
-  std::vector<NodeId> scratch;
-  for (int sweep = 0; sweep < config.max_sweeps; ++sweep) {
-    bool changed = false;
-    for (const NodeId v : order) {
-      if (!marked.test(static_cast<std::size_t>(v))) continue;
-      const bool fires =
-          (config.use_rule1 && rule1_would_unmark(g, marked, key, v)) ||
-          (config.use_rule2 &&
-           rule2_would_unmark(g, marked, key, config.rule2_form, v, scratch));
-      if (!fires) continue;
-      if (verified && !removal_is_safe(g, marked, v)) continue;
-      marked.reset(static_cast<std::size_t>(v));
-      changed = true;
+                      CdsWorkspace& ws, DynBitset& marked) {
+  if (ws.lane_neighbors.empty()) ws.lane_neighbors.resize(1);
+  if (ws.lane_residuals.empty()) ws.lane_residuals.resize(1);
+  std::vector<NodeId>& scratch = ws.lane_neighbors[0];
+  CdsWorkspace::Rule2Lane& resid = ws.lane_residuals[0];
+  const DenseAdjacency* dense = ws.dense.sync(g) ? &ws.dense : nullptr;
+  const auto fires = [&](NodeId v) {
+    if (dense != nullptr) {
+      return (config.use_rule1 &&
+              rule1_dense_would_unmark(g, *dense, marked, key, v)) ||
+             (config.use_rule2 &&
+              rule2_dense_would_unmark(g, *dense, marked, key,
+                                       config.rule2_form, v, scratch, resid));
     }
-    if (!changed) break;
+    return (config.use_rule1 && rule1_would_unmark(g, marked, key, v)) ||
+           (config.use_rule2 && rule2_would_unmark(g, marked, key,
+                                                   config.rule2_form, v,
+                                                   scratch));
+  };
+  key.ascending_order_into(ws.order);
+  for (const NodeId v : ws.order) {
+    if (!marked.test(static_cast<std::size_t>(v)) || !fires(v)) continue;
+    if (verified && !removal_is_safe(g, marked, v)) continue;
+    marked.reset(static_cast<std::size_t>(v));
   }
 }
 
@@ -330,10 +343,10 @@ void apply_sequential(const Graph& g, const PriorityKey& key,
 void apply_rules(const Graph& g, const PriorityKey& key,
                  const RuleConfig& config, const ExecContext& ctx,
                  DynBitset& marked) {
+  CdsWorkspace local;
+  CdsWorkspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
   switch (config.strategy) {
     case Strategy::kSimultaneous: {
-      CdsWorkspace local;
-      CdsWorkspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
       ExecContext pass_ctx = ctx;
       pass_ctx.workspace = &ws;
       // Stage double-buffering: build the next mark set in ws.stage, then
@@ -350,10 +363,10 @@ void apply_rules(const Graph& g, const PriorityKey& key,
       return;
     }
     case Strategy::kSequential:
-      apply_sequential(g, key, config, /*verified=*/false, marked);
+      apply_sequential(g, key, config, /*verified=*/false, ws, marked);
       return;
     case Strategy::kVerified:
-      apply_sequential(g, key, config, /*verified=*/true, marked);
+      apply_sequential(g, key, config, /*verified=*/true, ws, marked);
       return;
   }
 }

@@ -48,14 +48,17 @@ enum class Strategy : std::uint8_t {
   /// priority guard). Provided for fidelity studies.
   kSimultaneous,
   /// Asynchronous distributed semantics and the library default: nodes
-  /// yield one at a time in ascending key order (removals take effect
-  /// immediately, sweeps repeat to a fixpoint). Each single removal is
-  /// covered by the paper's G' - {v} correctness argument, so the result is
-  /// always a valid CDS.
+  /// yield one at a time in ascending key order, removals taking effect
+  /// immediately, in one sweep. One sweep is already the fixpoint: whether
+  /// a node fires grows with the marked set and marks only shrink, so a
+  /// node that kept its mark when visited keeps it for good (DESIGN.md §5).
+  /// Each single removal is covered by the paper's G' - {v} correctness
+  /// argument, so the result is always a valid CDS.
   kSequential,
   /// kSequential plus a per-removal safety check: a node is only unmarked
   /// if the remaining set still dominates and stays connected inside its
   /// component. Guaranteed-valid output even where the raw rules are not.
+  /// Safety is monotone in the marked set too, so one sweep still suffices.
   kVerified,
 };
 
@@ -68,9 +71,6 @@ struct RuleConfig {
   bool use_rule2 = true;
   Rule2Form rule2_form = Rule2Form::kRefined;
   Strategy strategy = Strategy::kSequential;
-  /// Bound on sequential fixpoint sweeps (safety net; convergence is
-  /// normally immediate).
-  int max_sweeps = 64;
 };
 
 // ---- Single-node decisions (distributed view) ---------------------------
@@ -165,6 +165,9 @@ void apply_rules(const Graph& g, const PriorityKey& key,
 /// shards across `ctx.executor` (its per-node decisions read frozen inputs);
 /// the sequential/verified strategies cascade removals immediately and
 /// therefore always run serially, executor or not — same results either way.
+/// Every strategy runs its coverage tests on the workspace's dense rows when
+/// they are active (n <= DenseAdjacency::kMaxNodes) and on the merge
+/// predicates above that; the decisions are identical.
 void apply_rules(const Graph& g, const PriorityKey& key,
                  const RuleConfig& config, const ExecContext& ctx,
                  DynBitset& marked);

@@ -39,6 +39,8 @@ struct CdsWorkspace {
   /// Double buffer for simultaneous passes (next mark set under
   /// construction).
   DynBitset stage;
+  /// Ascending key order for the sequential sweeps.
+  std::vector<NodeId> order;
   /// Dense-row acceleration for the full-graph passes at small n; synced
   /// on demand against Graph::version() (see dense.hpp).
   DenseAdjacency dense;

@@ -2,22 +2,40 @@
 
 #include <stdexcept>
 
-#include "net/udg.hpp"
-
 namespace pacds {
 
 namespace {
 
-/// Shared scaffold: keep each UDG edge iff `keep(u, v)` holds.
-template <typename Predicate>
-Graph filter_udg(const std::vector<Vec2>& positions, double radius,
-                 Predicate&& keep) {
-  const Graph udg = build_udg(positions, radius);
-  Graph g(udg.num_nodes());
-  for (const auto& [u, v] : udg.edges()) {
-    if (keep(u, v)) g.add_edge(u, v);
+/// Gabriel test for the unit-disk pair (u, v): no third point strictly
+/// inside the disk with diameter uv.
+bool gabriel_keeps(const std::vector<Vec2>& positions, NodeId u, NodeId v) {
+  const Vec2 pu = positions[static_cast<std::size_t>(u)];
+  const Vec2 pv = positions[static_cast<std::size_t>(v)];
+  const Vec2 mid = (pu + pv) * 0.5;
+  const double r2 = distance2(pu, pv) / 4.0;  // (|uv|/2)^2
+  for (std::size_t w = 0; w < positions.size(); ++w) {
+    if (w == static_cast<std::size_t>(u) || w == static_cast<std::size_t>(v)) {
+      continue;
+    }
+    if (distance2(positions[w], mid) < r2) return false;
   }
-  return g;
+  return true;
+}
+
+/// RNG test for the unit-disk pair (u, v): the lune is empty.
+bool rng_keeps(const std::vector<Vec2>& positions, NodeId u, NodeId v) {
+  const Vec2 pu = positions[static_cast<std::size_t>(u)];
+  const Vec2 pv = positions[static_cast<std::size_t>(v)];
+  const double d2 = distance2(pu, pv);
+  for (std::size_t w = 0; w < positions.size(); ++w) {
+    if (w == static_cast<std::size_t>(u) || w == static_cast<std::size_t>(v)) {
+      continue;
+    }
+    if (distance2(positions[w], pu) < d2 && distance2(positions[w], pv) < d2) {
+      return false;  // w sits in the lune
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -26,42 +44,14 @@ Graph build_gabriel(const std::vector<Vec2>& positions, double radius) {
   if (radius < 0.0) {
     throw std::invalid_argument("build_gabriel: negative radius");
   }
-  return filter_udg(positions, radius, [&positions](NodeId u, NodeId v) {
-    const Vec2 pu = positions[static_cast<std::size_t>(u)];
-    const Vec2 pv = positions[static_cast<std::size_t>(v)];
-    const Vec2 mid = (pu + pv) * 0.5;
-    const double r2 = distance2(pu, pv) / 4.0;  // (|uv|/2)^2
-    for (std::size_t w = 0; w < positions.size(); ++w) {
-      if (w == static_cast<std::size_t>(u) ||
-          w == static_cast<std::size_t>(v)) {
-        continue;
-      }
-      if (distance2(positions[w], mid) < r2) return false;
-    }
-    return true;
-  });
+  return build_links(positions, radius, LinkModel::kGabriel);
 }
 
 Graph build_rng_graph(const std::vector<Vec2>& positions, double radius) {
   if (radius < 0.0) {
     throw std::invalid_argument("build_rng_graph: negative radius");
   }
-  return filter_udg(positions, radius, [&positions](NodeId u, NodeId v) {
-    const Vec2 pu = positions[static_cast<std::size_t>(u)];
-    const Vec2 pv = positions[static_cast<std::size_t>(v)];
-    const double d2 = distance2(pu, pv);
-    for (std::size_t w = 0; w < positions.size(); ++w) {
-      if (w == static_cast<std::size_t>(u) ||
-          w == static_cast<std::size_t>(v)) {
-        continue;
-      }
-      if (distance2(positions[w], pu) < d2 &&
-          distance2(positions[w], pv) < d2) {
-        return false;  // w sits in the lune
-      }
-    }
-    return true;
-  });
+  return build_links(positions, radius, LinkModel::kRng);
 }
 
 std::string to_string(LinkModel model) {
@@ -76,17 +66,32 @@ std::string to_string(LinkModel model) {
   return "?";
 }
 
-Graph build_links(const std::vector<Vec2>& positions, double radius,
-                  LinkModel model) {
+void build_links_into(const std::vector<Vec2>& positions, double radius,
+                      LinkModel model, LinkBuilder& builder, Graph& out) {
   switch (model) {
     case LinkModel::kUnitDisk:
-      return build_udg(positions, radius);
+      builder.build(positions, radius, out);
+      return;
     case LinkModel::kGabriel:
-      return build_gabriel(positions, radius);
+      builder.build(positions, radius, out, [&positions](NodeId u, NodeId v) {
+        return gabriel_keeps(positions, u, v);
+      });
+      return;
     case LinkModel::kRng:
-      return build_rng_graph(positions, radius);
+      builder.build(positions, radius, out, [&positions](NodeId u, NodeId v) {
+        return rng_keeps(positions, u, v);
+      });
+      return;
   }
   throw std::invalid_argument("build_links: unknown model");
+}
+
+Graph build_links(const std::vector<Vec2>& positions, double radius,
+                  LinkModel model) {
+  Graph g;
+  LinkBuilder builder;
+  build_links_into(positions, radius, model, builder, g);
+  return g;
 }
 
 }  // namespace pacds

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/graph.hpp"
+#include "net/udg.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -22,6 +23,12 @@ enum class LinkModel : std::uint8_t { kUnitDisk, kGabriel, kRng };
 /// Builds the selected proximity graph over `positions`.
 [[nodiscard]] Graph build_links(const std::vector<Vec2>& positions,
                                 double radius, LinkModel model);
+
+/// As build_links, rebuilding `out` in place through `builder`: the
+/// Gabriel and RNG tests filter the unit-disk pairs inside the bulk build.
+/// Allocation-free once the builder and `out` are warm.
+void build_links_into(const std::vector<Vec2>& positions, double radius,
+                      LinkModel model, LinkBuilder& builder, Graph& out);
 
 /// Gabriel graph restricted to `radius`: u-v linked iff |uv| <= radius and
 /// no third point lies strictly inside the disk with diameter uv.

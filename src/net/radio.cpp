@@ -5,7 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "net/udg.hpp"
 
 namespace pacds {
 
@@ -120,18 +119,25 @@ double RadioModel::arq_drop(NodeId u, NodeId v) const {
   return 0.0;
 }
 
+void build_radio_links_into(const std::vector<Vec2>& positions, double radius,
+                            const RadioModel& radio, LinkBuilder& builder,
+                            Graph& out) {
+  if (radio.kind() == RadioKind::kUnitDisk) {
+    builder.build(positions, radius, out);
+    return;
+  }
+  builder.build(positions, radius, out, [&](NodeId u, NodeId v) {
+    return radio.link(u, v,
+                      distance2(positions[static_cast<std::size_t>(u)],
+                                positions[static_cast<std::size_t>(v)]));
+  });
+}
+
 Graph build_radio_links(const std::vector<Vec2>& positions, double radius,
                         const RadioModel& radio) {
-  const Graph udg = build_udg(positions, radius);
-  if (radio.kind() == RadioKind::kUnitDisk) return udg;
-  Graph g(udg.num_nodes());
-  for (const auto& [u, v] : udg.edges()) {
-    if (radio.link(u, v,
-                   distance2(positions[static_cast<std::size_t>(u)],
-                             positions[static_cast<std::size_t>(v)]))) {
-      g.add_edge(u, v);
-    }
-  }
+  Graph g;
+  LinkBuilder builder;
+  build_radio_links_into(positions, radius, radio, builder, g);
   return g;
 }
 

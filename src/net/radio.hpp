@@ -19,6 +19,7 @@
 #include <string>
 
 #include "core/graph.hpp"
+#include "net/udg.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -78,5 +79,11 @@ class RadioModel {
 /// With RadioKind::kUnitDisk this is exactly build_udg.
 [[nodiscard]] Graph build_radio_links(const std::vector<Vec2>& positions,
                                       double radius, const RadioModel& radio);
+
+/// As build_radio_links, rebuilding `out` in place through `builder`: the
+/// radio decides each unit-disk pair once, inside the bulk build.
+void build_radio_links_into(const std::vector<Vec2>& positions, double radius,
+                            const RadioModel& radio, LinkBuilder& builder,
+                            Graph& out);
 
 }  // namespace pacds

@@ -1,11 +1,19 @@
 #pragma once
 // Unit-disk graph construction: hosts u, v are linked iff their Euclidean
 // distance is at most the (homogeneous) transmission radius — the paper's
-// connectivity model. Two builders: a naive O(n²) reference and a uniform
-// grid spatial hash that only tests nearby cells; they must agree exactly
-// (property-tested) and the grid version is what the simulator uses.
+// connectivity model. Every from-scratch link set in the library goes
+// through one bulk builder, LinkBuilder: it sorts the hosts by
+// radius-sized grid cell, tests each host against the hosts of the
+// neighboring cells, and writes the surviving pairs straight into a CSR
+// Graph (Graph::assign_upper) — no per-edge insertion and no per-row sort.
+// Its cost is O(n + m) in time and memory whatever the hosts' bounding box,
+// so far-off parked hosts cost nothing extra. The O(n²) naive builder stays
+// as the reference the builder must agree with exactly (property-tested).
+// SpatialGrid is the mutable cell index the incremental and tiled engines
+// keep across intervals for moves and per-host delta queries.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/graph.hpp"
@@ -17,10 +25,69 @@ namespace pacds {
 enum class UdgMethod : std::uint8_t { kNaive, kGrid };
 
 /// Builds the unit-disk graph of `positions` with transmission radius
-/// `radius` (edge iff distance <= radius, closed ball).
+/// `radius` (edge iff distance <= radius, closed ball). kGrid runs the bulk
+/// LinkBuilder; kNaive tests every pair and is the reference.
 [[nodiscard]] Graph build_udg(const std::vector<Vec2>& positions,
                               double radius,
                               UdgMethod method = UdgMethod::kGrid);
+
+/// Bulk unit-disk link builder with caller-owned scratch. A caller that
+/// keeps one builder (and one output Graph) rebuilds links every interval
+/// without allocating once the buffers have reached their high-water
+/// sizes. Cells are `radius` wide (1 for radius 0) and computed exactly as
+/// SpatialGrid computes them; a point set with every z == 0 skips the z
+/// cell ring. The pair test is the closed ball distance2 <= radius².
+class LinkBuilder {
+ public:
+  /// Rebuilds `out` as the unit-disk graph of `positions`. Throws
+  /// std::invalid_argument for a negative radius.
+  void build(const std::vector<Vec2>& positions, double radius, Graph& out);
+
+  /// As above, keeping a unit-disk pair only when keep(u, v) holds. `keep`
+  /// is called exactly once per unordered pair within range, as (u, v)
+  /// with u < v, so the rows stay symmetric whatever it decides.
+  template <typename Keep>
+  void build(const std::vector<Vec2>& positions, double radius, Graph& out,
+             Keep&& keep) {
+    collect(positions, radius);
+    std::size_t kept = 0;
+    for (std::size_t u = 0; u + 1 < offsets_.size(); ++u) {
+      const std::size_t begin = offsets_[u];
+      const std::size_t end = offsets_[u + 1];
+      offsets_[u] = kept;
+      for (std::size_t k = begin; k < end; ++k) {
+        if (keep(static_cast<NodeId>(u), upper_[k])) upper_[kept++] = upper_[k];
+      }
+    }
+    offsets_.back() = kept;
+    assign(positions.size(), out);
+  }
+
+ private:
+  struct CellKey {
+    std::int64_t cx = 0;
+    std::int64_t cy = 0;
+    std::int64_t cz = 0;
+    auto operator<=>(const CellKey&) const = default;
+  };
+
+  /// Fills offsets_/upper_ with every unit-disk pair (u, v), u < v, grouped
+  /// by u (ascending) and in cell order within a row.
+  void collect(const std::vector<Vec2>& positions, double radius);
+  void assign(std::size_t n, Graph& out) const;
+
+  std::vector<std::pair<CellKey, NodeId>> sorted_;  ///< (cell, id), sorted
+  std::vector<Vec2> cell_pos_;      ///< positions in sorted order
+  std::vector<NodeId> cell_ids_;    ///< ids in sorted order
+  std::vector<CellKey> run_key_;    ///< distinct cells, ascending
+  std::vector<std::size_t> run_begin_;  ///< first sorted slot per run (+end)
+  std::vector<std::uint32_t> run_of_;   ///< run index per host id
+  /// Candidate ranges [first, second) of sorted slots per run: 3 for a
+  /// planar set (one per x column), 9 in 3-D (one per (x, y) column).
+  std::vector<std::pair<std::size_t, std::size_t>> ranges_;
+  std::vector<std::size_t> offsets_;  ///< row u is upper_[offsets_[u], +1)
+  std::vector<NodeId> upper_;
+};
 
 /// Uniform-grid spatial index over a point set; cells are radius-sized so a
 /// ball query only inspects the 3x3 (planar) or 3x3x3 (3-D) cell

@@ -56,10 +56,40 @@ const std::vector<double>& quantize_key_levels(
   return scratch;
 }
 
+void build_sim_links(const SimConfig& config, const RadioModel* radio,
+                     const std::vector<Vec2>& positions, LinkBuilder& builder,
+                     Graph& out) {
+  if (radio != nullptr) {
+    build_radio_links_into(positions, config.radius, *radio, builder, out);
+  } else {
+    build_links_into(positions, config.radius, config.link_model, builder,
+                     out);
+  }
+}
+
 // ---- FullRebuildEngine -----------------------------------------------------
 
+namespace {
+
+/// The pairwise rules a config runs: its scheme's, or both rules in the
+/// configured Rule 2 form under a custom key.
+RuleConfig rules_of(const SimConfig& config) {
+  if (!config.custom_key) {
+    return rule_config_of(config.rule_set, config.cds_options.strategy);
+  }
+  RuleConfig rules;
+  rules.rule2_form = config.custom_rule2_form;
+  rules.strategy = config.cds_options.strategy;
+  return rules;
+}
+
+}  // namespace
+
 FullRebuildEngine::FullRebuildEngine(const SimConfig& config)
-    : config_(config) {
+    : config_(config),
+      kind_(config.custom_key ? *config.custom_key
+                              : key_kind_of(config.rule_set)),
+      rules_(rules_of(config)) {
   make_interval_pool(config_.threads, pool_);
   if (config_.radio != RadioKind::kUnitDisk) {
     if (config_.link_model != LinkModel::kUnitDisk) {
@@ -81,16 +111,13 @@ FullRebuildEngine::FullRebuildEngine(const SimConfig& config)
 void FullRebuildEngine::update(const std::vector<Vec2>& positions,
                                const std::vector<double>& levels) {
   with_pool_accounting(pool_, [&] {
-    std::optional<Graph> links;
     {
       const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
-      links.emplace(radio_
-                        ? build_radio_links(positions, config_.radius, *radio_)
-                        : build_links(positions, config_.radius,
-                                      config_.link_model));
+      build_sim_links(config_, radio_ ? &*radio_ : nullptr, positions, links_,
+                      spare_);
     }
     if (tracker_) {
-      if (graph_) {
+      if (have_graph_) {
         // Two-pointer diff of each node's sorted row against last interval:
         // every endpoint of every changed edge accrues exactly one count —
         // the same accounting the incremental engines get from counting both
@@ -98,8 +125,8 @@ void FullRebuildEngine::update(const std::vector<Vec2>& positions,
         // SEL keys) agree bit-for-bit across engines.
         const auto n = static_cast<NodeId>(positions.size());
         for (NodeId v = 0; v < n; ++v) {
-          const auto old_row = graph_->neighbors(v);
-          const auto new_row = links->neighbors(v);
+          const auto old_row = graph_.neighbors(v);
+          const auto new_row = spare_.neighbors(v);
           std::size_t i = 0;
           std::size_t j = 0;
           while (i < old_row.size() || j < new_row.size()) {
@@ -119,8 +146,8 @@ void FullRebuildEngine::update(const std::vector<Vec2>& positions,
       }
       tracker_->commit();
     }
-    graph_ = std::move(*links);
-    const Graph& g = *graph_;
+    std::swap(graph_, spare_);
+    have_graph_ = true;
     const auto& keys =
         quantize_key_levels(levels, config_.energy_key_quantum, key_scratch_);
     const std::vector<double> no_stability;
@@ -128,25 +155,14 @@ void FullRebuildEngine::update(const std::vector<Vec2>& positions,
         tracker_ ? tracker_->stability() : no_stability;
     const ExecContext ctx{pool_ ? &*pool_ : nullptr, &workspace_, metrics_};
     if (config_.custom_key && config_.use_rule_k) {
-      cds_ = compute_cds_rule_k(g, *config_.custom_key, keys,
-                                config_.cds_options.strategy,
-                                config_.cds_options.clique_policy, ctx,
-                                stability);
-      if (metrics_ != nullptr) {
-        metrics_->add(obs::Counter::kFullRefreshes);
-        metrics_->add(obs::Counter::kNodesTouched,
-                      static_cast<std::uint64_t>(g.num_nodes()));
-      }
-    } else if (config_.custom_key) {
-      RuleConfig rule_config;
-      rule_config.rule2_form = config_.custom_rule2_form;
-      rule_config.strategy = config_.cds_options.strategy;
-      cds_ = compute_cds_custom(g, *config_.custom_key, rule_config, keys,
-                                config_.cds_options.clique_policy, ctx,
-                                stability);
+      compute_cds_rule_k_into(graph_, kind_, keys,
+                              config_.cds_options.strategy,
+                              config_.cds_options.clique_policy, ctx,
+                              stability, cds_);
     } else {
-      cds_ = compute_cds(g, config_.rule_set, keys, config_.cds_options, ctx,
-                         stability);
+      compute_cds_custom_into(graph_, kind_, rules_, keys,
+                              config_.cds_options.clique_policy, ctx,
+                              stability, cds_);
     }
   });
 }
@@ -177,33 +193,21 @@ IncrementalEngine::IncrementalEngine(const SimConfig& config)
 
 void IncrementalEngine::initialize(const std::vector<Vec2>& positions,
                                    const std::vector<double>& keys) {
-  std::optional<Graph> links;
+  Graph links;
   {
     const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
     prev_positions_ = positions;
     grid_.emplace(prev_positions_,
                   config_.radius > 0.0 ? config_.radius : 1.0);
-    const auto n = static_cast<NodeId>(positions.size());
-    links.emplace(n);
-    for (NodeId u = 0; u < n; ++u) {
-      grid_->query_into(positions[static_cast<std::size_t>(u)], config_.radius,
-                        u, nbrs_);
-      for (const NodeId v : nbrs_) {
-        if (v > u &&
-            (!radio_ ||
-             radio_->link(u, v,
-                          distance2(positions[static_cast<std::size_t>(u)],
-                                    positions[static_cast<std::size_t>(v)])))) {
-          links->add_edge(u, v);
-        }
-      }
-    }
+    LinkBuilder builder;
+    build_sim_links(config_, radio_ ? &*radio_ : nullptr, positions, builder,
+                    links);
   }
   // The first interval has no link history: commit once on zero counts so
   // the EWMA cadence matches the full-rebuild engine's (one commit per
   // update), leaving every host maximally stable.
   if (tracker_) tracker_->commit();
-  cds_.emplace(std::move(*links), config_.rule_set,
+  cds_.emplace(std::move(links), config_.rule_set,
                uses_energy(config_.rule_set) ? keys : std::vector<double>{},
                config_.cds_options,
                ExecContext{pool_ ? &*pool_ : nullptr, &workspace_, metrics_},
@@ -323,9 +327,9 @@ void Cds22Engine::update(const std::vector<Vec2>& positions,
                          const std::vector<double>& /*levels*/) {
   {
     const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
-    graph_.emplace(
-        radio_ ? build_radio_links(positions, config_.radius, *radio_)
-               : build_links(positions, config_.radius, config_.link_model));
+    if (!graph_) graph_.emplace();
+    build_sim_links(config_, radio_ ? &*radio_ : nullptr, positions, links_,
+                    *graph_);
   }
   // Keep the cached backbone while it still verifies as a plain CDS of the
   // current links. Deliberately *not* check_cds22: after a member crash the
@@ -349,7 +353,9 @@ void Cds22Engine::update(const std::vector<Vec2>& positions,
 }
 
 std::size_t Cds22Engine::last_touched() const {
-  return last_recomputed_ && graph_ ? graph_->num_nodes() : 0;
+  return last_recomputed_ && graph_
+             ? static_cast<std::size_t>(graph_->num_nodes())
+             : 0;
 }
 
 // ---- Selection -------------------------------------------------------------

@@ -45,6 +45,14 @@ namespace pacds {
     const std::vector<double>& levels, double quantum,
     std::vector<double>& scratch);
 
+/// The link graph every engine computes against: config.link_model over
+/// `positions`, with each unit-disk pair gated by `radio` when non-null
+/// (non-unit-disk channels compose only with unit-disk links). Rebuilds
+/// `out` in place through `builder`.
+void build_sim_links(const SimConfig& config, const RadioModel* radio,
+                     const std::vector<Vec2>& positions, LinkBuilder& builder,
+                     Graph& out);
+
 /// Resolves SimConfig::threads into an intra-interval pool. `threads` counts
 /// lanes *including* the calling thread (the caller always participates in
 /// sharded passes), so N lanes need a pool of N - 1 workers; 0 means one
@@ -119,7 +127,9 @@ class LifetimeEngine {
 };
 
 /// The original inner loop: build_links + one of the compute_cds entry
-/// points, every interval.
+/// points, every interval. Warm intervals allocate nothing: the link
+/// builder, both link graphs, the CDS result and the workspace keep their
+/// storage from one interval to the next.
 class FullRebuildEngine final : public LifetimeEngine {
  public:
   explicit FullRebuildEngine(const SimConfig& config);
@@ -130,7 +140,7 @@ class FullRebuildEngine final : public LifetimeEngine {
     return cds_.gateways;
   }
   [[nodiscard]] const Graph* graph() const override {
-    return graph_ ? &*graph_ : nullptr;
+    return have_graph_ ? &graph_ : nullptr;
   }
   [[nodiscard]] IntervalCounts counts() const override {
     return {cds_.marked_count, cds_.gateway_count};
@@ -140,8 +150,15 @@ class FullRebuildEngine final : public LifetimeEngine {
 
  private:
   SimConfig config_;
-  /// Last interval's link graph, kept for graph() (rebuilt every update).
-  std::optional<Graph> graph_;
+  /// Key kind and rules the scheme (or the custom key) resolves to.
+  KeyKind kind_;
+  RuleConfig rules_;
+  LinkBuilder links_;
+  /// This interval's links (graph()); the next interval is built into
+  /// spare_ and swapped in, so the SEL row diff still sees the old rows.
+  Graph graph_;
+  Graph spare_;
+  bool have_graph_ = false;
   CdsResult cds_;
   std::vector<double> key_scratch_;
   /// Per-pair channel model; engaged when config.radio != unit-disk (it can
@@ -249,6 +266,7 @@ class Cds22Engine final : public LifetimeEngine {
 
  private:
   SimConfig config_;
+  LinkBuilder links_;
   std::optional<Graph> graph_;
   /// Per-pair channel veto (config.radio != unit-disk); the backbone is
   /// maintained on whatever link graph the radio admits.

@@ -57,7 +57,17 @@ void ThreadPool::submit(std::function<void()> task) {
   tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
+    if (queued_ == tasks_.size()) {
+      std::vector<std::function<void()>> grown(
+          std::max<std::size_t>(8, 2 * tasks_.size()));
+      for (std::size_t i = 0; i < queued_; ++i) {
+        grown[i] = std::move(tasks_[(head_ + i) % tasks_.size()]);
+      }
+      tasks_ = std::move(grown);
+      head_ = 0;
+    }
+    tasks_[(head_ + queued_) % tasks_.size()] = std::move(task);
+    ++queued_;
     ++in_flight_;
   }
   task_ready_.notify_one();
@@ -128,10 +138,12 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      task_ready_.wait(lock, [this] { return stopping_ || queued_ != 0; });
+      if (queued_ == 0) return;  // stopping and drained
+      task = std::move(tasks_[head_]);
+      tasks_[head_] = nullptr;
+      head_ = (head_ + 1) % tasks_.size();
+      --queued_;
     }
     task();
     {

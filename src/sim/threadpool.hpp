@@ -11,14 +11,14 @@
 //     One queue task per participating worker, zero per-index allocations,
 //     and a distinct scratch lane per concurrent claimant. Chunk boundaries
 //     respect the requested alignment so bitset-writing shards never share
-//     an output word.
+//     an output word. The queue is a ring that only ever grows, so a warm
+//     pool forks and joins without touching the heap.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -83,7 +83,12 @@ class ThreadPool final : public Executor {
   void bulk_run(std::size_t count, std::size_t chunk, ChunkFnRef body);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  /// Pending tasks, FIFO from head_: a ring that grows geometrically and
+  /// never shrinks (a std::queue would free and reallocate deque blocks as
+  /// it cycles).
+  std::vector<std::function<void()>> tasks_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   std::mutex mutex_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;

@@ -27,20 +27,11 @@ void TiledEngine::initialize(const std::vector<Vec2>& positions) {
   prev_positions_ = positions;
   const double cell = config_.radius > 0.0 ? config_.radius : 1.0;
   grid_.emplace(prev_positions_, cell);
-  const auto n = static_cast<NodeId>(positions.size());
-  graph_.emplace(n);
-  for (NodeId u = 0; u < n; ++u) {
-    grid_->query_into(positions[static_cast<std::size_t>(u)], config_.radius,
-                      u, nbrs_);
-    for (const NodeId v : nbrs_) {
-      if (v > u &&
-          (!radio_ ||
-           radio_->link(u, v,
-                        distance2(positions[static_cast<std::size_t>(u)],
-                                  positions[static_cast<std::size_t>(v)])))) {
-        graph_->add_edge(u, v);
-      }
-    }
+  graph_.emplace();
+  {
+    LinkBuilder builder;
+    build_sim_links(config_, radio_ ? &*radio_ : nullptr, positions, builder,
+                    *graph_);
   }
   tiles_.reset(config_.field_width, config_.field_height, config_.radius,
                config_.tiles, positions.size());

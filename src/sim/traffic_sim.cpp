@@ -12,25 +12,6 @@
 
 namespace pacds {
 
-namespace {
-
-/// Unit-disk graph restricted to active, alive hosts (others stay as
-/// isolated vertices so indices line up with the battery bank).
-Graph build_active_udg(const std::vector<Vec2>& positions, double radius,
-                       const std::vector<char>& usable) {
-  const Graph full = build_udg(positions, radius);
-  Graph g(full.num_nodes());
-  for (const auto& [u, v] : full.edges()) {
-    if (usable[static_cast<std::size_t>(u)] &&
-        usable[static_cast<std::size_t>(v)]) {
-      g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
-}  // namespace
-
 TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
                                    std::uint64_t seed) {
   if (config.n_hosts < 2) {
@@ -59,6 +40,7 @@ TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
   TrafficSimResult result;
   double gateway_sum = 0.0;
   std::vector<double> key_scratch;
+  LinkBuilder links;
   while (result.intervals < config.max_intervals) {
     // Usable hosts: alive AND switched on.
     std::vector<char> usable(n, 0);
@@ -71,7 +53,13 @@ TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
     }
     if (usable_ids.size() < 2) break;  // nothing left to route
 
-    const Graph g = build_active_udg(positions, config.radius, usable);
+    // Unit-disk links among usable hosts only; the others stay isolated
+    // vertices so indices line up with the battery bank.
+    Graph g;
+    links.build(positions, config.radius, g, [&usable](NodeId u, NodeId v) {
+      return usable[static_cast<std::size_t>(u)] != 0 &&
+             usable[static_cast<std::size_t>(v)] != 0;
+    });
     const CdsResult cds = compute_cds(
         g, config.rule_set,
         quantize_key_levels(batteries.levels(), config.energy_key_quantum,

@@ -299,5 +299,48 @@ TEST(GraphTest, RemoveKeepsRowsCoherent) {
   EXPECT_EQ(static_cast<std::size_t>(g.neighbors(0).size()), 2u);
 }
 
+TEST(GraphTest, AssignUpperEqualsFromEdgesWithAddEdgeCapacities) {
+  // Rows given unsorted; vertex 5 stays isolated, vertex 0 reaches degree 5.
+  const std::vector<std::size_t> offsets{0, 5, 7, 8, 8, 8, 8, 8};
+  const std::vector<NodeId> upper{4, 1, 6, 3, 2, 6, 3, 4};
+  Graph g = path_graph(3);  // storage is replaced, not merged
+  const std::uint64_t before = g.version();
+  g.assign_upper(7, offsets, upper);
+  EXPECT_NE(g.version(), before);
+  const Graph expected = Graph::from_edges(
+      7, {{0, 4}, {0, 1}, {0, 6}, {0, 3}, {0, 2}, {1, 6}, {1, 3}, {2, 4}});
+  EXPECT_EQ(g, expected);
+  EXPECT_EQ(g.num_edges(), 8u);
+  for (NodeId v = 0; v < 7; ++v) {
+    EXPECT_EQ(g.slice_capacity(v), expected.slice_capacity(v)) << "v=" << v;
+  }
+  EXPECT_EQ(g.slice_capacity(0), 8);  // degree 5 -> bit_ceil = 8
+  EXPECT_EQ(g.slice_capacity(1), 4);  // degree 3 -> the minimum slice
+  EXPECT_EQ(g.slice_capacity(5), 0);  // isolated
+  // Slices keep add_edge semantics after a bulk build.
+  EXPECT_TRUE(g.add_edge(5, 6));
+  EXPECT_TRUE(g.remove_edge(0, 4));
+  EXPECT_EQ(g.neighbors(0).size(), 4u);
+  EXPECT_EQ(g.neighbors(6).front(), 0);
+}
+
+TEST(GraphTest, AssignUpperRejectsMalformedRows) {
+  Graph g = path_graph(3);
+  const Graph original = g;
+  const std::vector<std::size_t> offsets{0, 1, 1, 1};
+  EXPECT_THROW(g.assign_upper(3, offsets, std::vector<NodeId>{0}),
+               std::invalid_argument);  // not above the row
+  EXPECT_THROW(g.assign_upper(3, offsets, std::vector<NodeId>{3}),
+               std::invalid_argument);  // out of range
+  EXPECT_THROW(g.assign_upper(3, std::vector<std::size_t>{0, 1, 1},
+                              std::vector<NodeId>{1}),
+               std::invalid_argument);  // offsets not n + 1 long
+  EXPECT_EQ(g, original);
+  EXPECT_THROW(g.assign_upper(3, std::vector<std::size_t>{0, 2, 2, 2},
+                              std::vector<NodeId>{2, 2}),
+               std::invalid_argument);  // repeated entry
+  EXPECT_EQ(g, Graph(3));
+}
+
 }  // namespace
 }  // namespace pacds

@@ -170,6 +170,30 @@ TEST_F(MetricsSchemaTest, IntervalRecordsCarryLiveCountersAndTimers) {
   EXPECT_GT(localized, 0.0);
 }
 
+TEST_F(MetricsSchemaTest, RuleKIntervalsRecordMarkingAndRulesTime) {
+  // compute_cds_rule_k times its marking and rules phases like
+  // compute_cds_custom, so a custom-key Rule k run attributes its time.
+  SimConfig config;
+  config.n_hosts = 30;
+  config.custom_key = KeyKind::kEnergyId;
+  config.use_rule_k = true;
+  config.cds_options.strategy = Strategy::kSequential;
+  config.max_intervals = 20;
+  std::ostringstream out;
+  obs::JsonlSink sink(out);
+  (void)run_lifetime_trials(config, 1, 2003, nullptr, &sink);
+
+  const std::vector<std::string> lines = split_lines(out.str());
+  ASSERT_GE(lines.size(), 2u);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const JsonValue record = parse_json(lines[i]);
+    EXPECT_GT(record.find("marking_ns")->as_number(), 0.0) << lines[i];
+    EXPECT_GT(record.find("rules_ns")->as_number(), 0.0) << lines[i];
+    EXPECT_EQ(record.find("full_refreshes")->as_number(), 1.0) << lines[i];
+    EXPECT_EQ(record.find("nodes_touched")->as_number(), 30.0) << lines[i];
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shared stream validator (obs/validate.hpp): the one schema check behind
 // `bench_report --validate-jsonl`, the fuzz harness's JSONL oracle, and CI.

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
 
+#include "net/geometric.hpp"
+#include "net/radio.hpp"
 #include "net/rng.hpp"
 #include "net/space.hpp"
 #include "net/topology.hpp"
@@ -228,6 +234,61 @@ TEST_P(UdgAgreementTest, NaiveEqualsGrid) {
   EXPECT_EQ(naive, grid) << "n=" << n << " r=" << radius;
 }
 
+/// Adversarial point sets over the same random base: hosts parked far off
+/// the field (FaultInjector::park_position), negative coordinates, 3-D
+/// positions, coincident points and a lattice of pairs at exactly r.
+std::vector<std::pair<std::string, std::vector<Vec2>>> adversarial_sets(
+    int n, double radius, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const Field field = Field::paper_field();
+  const auto base = random_placement(n, field, rng);
+  std::vector<std::pair<std::string, std::vector<Vec2>>> sets;
+
+  auto parked = base;
+  const double spacing = 2.0 * (radius > 0.0 ? radius : 1.0);
+  for (std::size_t i = 0; i < parked.size(); i += 3) {
+    parked[i] = {field.width() + spacing * static_cast<double>(i + 1),
+                 -spacing};
+  }
+  sets.emplace_back("parked", std::move(parked));
+
+  auto negative = base;
+  for (Vec2& p : negative) p = p - Vec2{150.0, 70.0};
+  sets.emplace_back("negative", std::move(negative));
+
+  auto lifted = base;
+  for (Vec2& p : lifted) p.z = rng.uniform(0.0, 60.0);
+  sets.emplace_back("3d", std::move(lifted));
+
+  auto coincident = base;
+  for (std::size_t i = 1; i < coincident.size(); i += 2) {
+    coincident[i] = coincident[i - 1];
+  }
+  sets.emplace_back("coincident", std::move(coincident));
+
+  // Lattice points at integer multiples of r: every lattice neighbor sits
+  // at exactly r (the radii here are integers, so the products are exact).
+  std::vector<Vec2> lattice;
+  const double step = radius > 0.0 ? radius : 1.0;
+  for (int i = 0; i < n; ++i) {
+    lattice.push_back({step * static_cast<double>(i % 7),
+                       step * static_cast<double>(i / 7 - 3)});
+  }
+  sets.emplace_back("lattice", std::move(lattice));
+  return sets;
+}
+
+TEST_P(UdgAgreementTest, NaiveEqualsGridOnAdversarialSets) {
+  const auto [n, radius, seed] = GetParam();
+  for (const auto& [name, pts] : adversarial_sets(n, radius, seed)) {
+    for (const double r : {radius, 0.0}) {
+      EXPECT_EQ(build_udg(pts, r, UdgMethod::kNaive),
+                build_udg(pts, r, UdgMethod::kGrid))
+          << name << " n=" << n << " r=" << r;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomPlacements, UdgAgreementTest,
     ::testing::Combine(::testing::Values(2, 10, 50, 150),
@@ -238,6 +299,129 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(std::get<1>(param_info.param))) +
              "_s" + std::to_string(std::get<2>(param_info.param));
     });
+
+// ---- Bulk link builder -------------------------------------------------
+
+/// The filter-by-add_edge construction every keep-predicate build must
+/// reproduce: the reference unit-disk graph, each edge re-added iff kept.
+template <typename Keep>
+Graph filtered_reference(const std::vector<Vec2>& pts, double radius,
+                         Keep&& keep) {
+  const Graph udg = build_udg(pts, radius, UdgMethod::kNaive);
+  Graph g(udg.num_nodes());
+  for (const auto& [u, v] : udg.edges()) {
+    if (keep(u, v)) g.add_edge(u, v);
+  }
+  return g;
+}
+
+std::vector<Vec2> dense_points(int n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  return random_placement(n, Field::paper_field(), rng);
+}
+
+TEST(LinkBuilderTest, RadioFiltersEqualTheAddEdgeReference) {
+  const auto pts = dense_points(120, 91);
+  for (const RadioKind kind :
+       {RadioKind::kUnitDisk, RadioKind::kShadowing,
+        RadioKind::kProbabilistic}) {
+    const RadioModel radio(kind, RadioParams{}, kPaperRadius);
+    const Graph expected =
+        filtered_reference(pts, kPaperRadius, [&](NodeId u, NodeId v) {
+          return radio.link(u, v,
+                            distance2(pts[static_cast<std::size_t>(u)],
+                                      pts[static_cast<std::size_t>(v)]));
+        });
+    EXPECT_EQ(build_radio_links(pts, kPaperRadius, radio), expected)
+        << to_string(kind);
+  }
+}
+
+TEST(LinkBuilderTest, GabrielAndRngFiltersEqualTheAddEdgeReference) {
+  const auto pts = dense_points(90, 92);
+  const auto others = [&pts](NodeId u, NodeId v, auto&& blocks) {
+    for (std::size_t w = 0; w < pts.size(); ++w) {
+      if (w != static_cast<std::size_t>(u) &&
+          w != static_cast<std::size_t>(v) && blocks(pts[w])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto at = [&pts](NodeId v) { return pts[static_cast<std::size_t>(v)]; };
+  const Graph gabriel =
+      filtered_reference(pts, kPaperRadius, [&](NodeId u, NodeId v) {
+        const Vec2 mid = (at(u) + at(v)) * 0.5;
+        const double r2 = distance2(at(u), at(v)) / 4.0;
+        return others(u, v, [&](Vec2 w) { return distance2(w, mid) < r2; });
+      });
+  const Graph rng_graph =
+      filtered_reference(pts, kPaperRadius, [&](NodeId u, NodeId v) {
+        const double d2 = distance2(at(u), at(v));
+        return others(u, v, [&](Vec2 w) {
+          return distance2(w, at(u)) < d2 && distance2(w, at(v)) < d2;
+        });
+      });
+  EXPECT_EQ(build_links(pts, kPaperRadius, LinkModel::kGabriel), gabriel);
+  EXPECT_EQ(build_links(pts, kPaperRadius, LinkModel::kRng), rng_graph);
+  EXPECT_EQ(build_gabriel(pts, kPaperRadius), gabriel);
+  EXPECT_EQ(build_rng_graph(pts, kPaperRadius), rng_graph);
+}
+
+TEST(LinkBuilderTest, ActiveHostFilterEqualsTheAddEdgeReference) {
+  // The traffic simulator's per-interval build: links among usable hosts
+  // only, everyone else an isolated vertex.
+  const auto pts = dense_points(100, 93);
+  std::vector<char> usable(pts.size(), 1);
+  for (std::size_t i = 0; i < usable.size(); i += 4) usable[i] = 0;
+  const auto keep = [&usable](NodeId u, NodeId v) {
+    return usable[static_cast<std::size_t>(u)] != 0 &&
+           usable[static_cast<std::size_t>(v)] != 0;
+  };
+  Graph g;
+  LinkBuilder builder;
+  builder.build(pts, kPaperRadius, g, keep);
+  EXPECT_EQ(g, filtered_reference(pts, kPaperRadius, keep));
+}
+
+TEST(LinkBuilderTest, KeepSeesEachPairOnceInAscendingOrder) {
+  const auto pts = dense_points(80, 94);
+  std::vector<std::pair<NodeId, NodeId>> seen;
+  Graph g;
+  LinkBuilder builder;
+  builder.build(pts, kPaperRadius, g, [&seen](NodeId u, NodeId v) {
+    seen.emplace_back(u, v);
+    return true;
+  });
+  for (const auto& [u, v] : seen) EXPECT_LT(u, v);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, build_udg(pts, kPaperRadius, UdgMethod::kNaive).edges());
+}
+
+TEST(LinkBuilderTest, BulkGraphInvariants) {
+  Graph g;
+  LinkBuilder builder;
+  std::uint64_t last_version = g.version();
+  for (const std::uint64_t seed : {95u, 96u, 97u}) {
+    for (const int n : {0, 1, 40, 150}) {
+      const auto pts = dense_points(n, seed);
+      builder.build(pts, kPaperRadius, g);  // same builder and graph reused
+      EXPECT_NE(g.version(), last_version) << "stale version stamp";
+      last_version = g.version();
+      const Graph expected = Graph::from_edges(n, g.edges());
+      EXPECT_EQ(g, expected);
+      EXPECT_EQ(g, build_udg(pts, kPaperRadius, UdgMethod::kNaive));
+      for (NodeId v = 0; v < n; ++v) {
+        const auto row = g.neighbors(v);
+        EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                       std::greater_equal<>()) == row.end())
+            << "row " << v << " not strictly ascending";
+        EXPECT_EQ(g.slice_capacity(v), expected.slice_capacity(v))
+            << "slice capacity of " << v << " differs from add_edge growth";
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pacds

@@ -6,7 +6,8 @@
 //
 // The guarantee covers the serial steady state and, because localized delta
 // updates never touch the executor, also holds when an intra-interval thread
-// pool is configured (the pool only serves full refreshes).
+// pool is configured (the pool only serves full refreshes). The full-rebuild
+// engine gets the same audit: its warm intervals reuse every buffer too.
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,41 @@ TEST(ZeroAllocTest, TiledSteadyStateAllocatesNothing) {
   EXPECT_EQ(allocs, 0u)
       << allocs << " allocation(s) leaked into the tiled steady state";
 }
+
+class FullRebuildZeroAllocTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FullRebuildZeroAllocTest, WarmIntervalsAllocateNothing) {
+  // The paper's own loop: links and the sequential EL1 backbone rebuilt
+  // from scratch every interval. Once warm, the bulk link build, the key
+  // order, the dense rows and the result bitsets all reuse engine-owned
+  // storage. The threaded case shards the marking pass through the pool.
+  SimConfig config;
+  config.n_hosts = 100;
+  config.rule_set = RuleSet::kEL1;
+  config.cds_options.strategy = Strategy::kSequential;
+  config.engine = SimEngine::kFullRebuild;
+  config.threads = GetParam();
+  const auto engine = make_lifetime_engine(config);
+  ASSERT_EQ(engine->name(), "full-rebuild");
+
+  Xoshiro256 rng(2002);
+  const Field field(config.field_width, config.field_height, config.boundary);
+  const auto positions = random_placement(config.n_hosts, field, rng);
+  std::vector<double> levels(static_cast<std::size_t>(config.n_hosts),
+                             config.initial_energy);
+  run_intervals(*engine, positions, levels, 10);
+
+  const std::size_t allocs = count_allocations(
+      [&] { run_intervals(*engine, positions, levels, 50); });
+  EXPECT_EQ(allocs, 0u)
+      << allocs << " allocation(s) leaked into warm full-rebuild intervals";
+}
+
+INSTANTIATE_TEST_SUITE_P(SerialAndThreaded, FullRebuildZeroAllocTest,
+                         ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 TEST_P(ZeroAllocTest, MetricsRecordingStaysAllocationFree) {
   // The observability layer must not regress the steady state: recording
