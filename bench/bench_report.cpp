@@ -6,7 +6,7 @@
 //
 // usage: bench_report [--strict] <micro_cds.json> <micro_engine.json>
 //                     <micro_parallel.json> <micro_tiles.json>
-//                     <micro_simd.json> <bench_serve.json> <output.json>
+//                     <bench_serve.json> <output.json>
 //        bench_report [--strict] --validate-jsonl <metrics.jsonl | ->
 //        bench_report [--strict] --gap-report <gap.jsonl | ->
 //
@@ -43,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/simd.hpp"
 #include "io/json.hpp"
 #include "io/json_parse.hpp"
 #include "io/table.hpp"
@@ -351,10 +350,9 @@ int main(int argc, char** argv) {
   if (args.size() == 2 && args[0] == "--gap-report") {
     return gap_report(args[1], strict);
   }
-  if (args.size() != 7) {
+  if (args.size() != 6) {
     std::cerr << "usage: bench_report [--strict] <cds.json> <engine.json> "
-                 "<parallel.json> <tiles.json> <simd.json> <serve.json> "
-                 "<output.json>\n"
+                 "<parallel.json> <tiles.json> <serve.json> <output.json>\n"
                  "       bench_report [--strict] --validate-jsonl "
                  "<metrics.jsonl | ->\n"
                  "       bench_report [--strict] --gap-report "
@@ -366,9 +364,8 @@ int main(int argc, char** argv) {
     const NsPerOp engine = ns_per_op(args[1]);
     const NsPerOp parallel = ns_per_op(args[2]);
     const NsPerOp tiles = ns_per_op(args[3]);
-    const NsPerOp simd_pass = ns_per_op(args[4]);
-    const NsPerOp serve = ns_per_op(args[5]);
-    const std::string out_path = args[6];
+    const NsPerOp serve = ns_per_op(args[4]);
+    const std::string out_path = args[5];
 
     // Preserve the previous baseline section, if the file parses, and
     // diff the previous tables against the fresh measurements so rows that
@@ -383,7 +380,6 @@ int main(int argc, char** argv) {
       warn_stale(previous, "engine_interval_ns", engine);
       warn_stale(previous, "parallel_interval_ns", parallel);
       warn_stale(previous, "tiles_interval_ns", tiles);
-      warn_stale(previous, "simd_rule_pass_ns", simd_pass);
       warn_stale(previous, "serve_intervals_ns", serve);
     } catch (const std::exception&) {
       // First generation or unreadable previous file: empty baseline.
@@ -416,20 +412,12 @@ int main(int argc, char** argv) {
     // where running it is affordable (the speedup_tiles_* keys below).
     json.key("tiles_interval_ns");
     write_table(json, tiles);
-    // Rule passes per simd dispatch level (micro_simd):
-    // BM_Rule{1,2Refined}PassSimd/<level>/<n>. simd_dispatch records the
-    // level this host resolved at measurement time; the speedup_simd_*
-    // rows below divide the scalar row by the best-level row.
-    json.key("simd_rule_pass_ns");
-    write_table(json, simd_pass);
     // Serve-layer multiplexing (bench_serve): BM_ServeIntervals/<K> is one
     // request batch advancing K resident tenants one interval each, through
     // the full parse -> schedule -> compute -> serialize path. The derived
     // serve_intervals_per_sec_k<K> rows below are K * 1e9 / ns_per_op.
     json.key("serve_intervals_ns");
     write_table(json, serve);
-    json.key("simd_dispatch")
-        .value(pacds::simd::to_string(pacds::simd::active_level()));
     json.key("host_cpus")
         .value(static_cast<int>(std::thread::hardware_concurrency()));
     for (const int stay : {98, 95}) {
@@ -444,20 +432,6 @@ int main(int argc, char** argv) {
       write_speedup(json, "speedup_threads8_n" + std::to_string(n),
                     lookup(parallel, stem + "/1"),
                     lookup(parallel, stem + "/8"));
-    }
-    // Scalar vs the host's best vector level on the same instance; only
-    // meaningful (and only emitted) when a vector level exists.
-    if (pacds::simd::detect_best() != pacds::simd::Level::kScalar) {
-      const std::string best = pacds::simd::to_string(pacds::simd::detect_best());
-      for (const int n : {100, 400}) {
-        const std::string arg = "/" + std::to_string(n);
-        write_speedup(json, "speedup_simd_rule1_n" + std::to_string(n),
-                      lookup(simd_pass, "BM_Rule1PassSimd/scalar" + arg),
-                      lookup(simd_pass, "BM_Rule1PassSimd/" + best + arg));
-        write_speedup(json, "speedup_simd_rule2_n" + std::to_string(n),
-                      lookup(simd_pass, "BM_Rule2RefinedPassSimd/scalar" + arg),
-                      lookup(simd_pass, "BM_Rule2RefinedPassSimd/" + best + arg));
-      }
     }
     // Tiled vs both flat engines at matched n and stay probability (950 and
     // 999 per-mille — see micro_tiles.cpp for why both regimes matter).

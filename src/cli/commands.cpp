@@ -427,9 +427,10 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   parser.add_option("stability-beta",
                     "SEL churn EWMA memory in [0, 1] (0 = latest interval "
                     "only, 1 = frozen)",
-                    "0.5");
+                    JsonWriter::format_double(SimConfig{}.stability_beta));
   parser.add_option("stability-quantum",
-                    "SEL churn bucket width (0 = raw EWMA values)", "1");
+                    "SEL churn bucket width (0 = raw EWMA values)",
+                    JsonWriter::format_double(SimConfig{}.stability_quantum));
   parser.add_option("strategy", "sequential | simultaneous | verified",
                     "sequential");
   parser.add_option("engine",

@@ -53,17 +53,16 @@ bool DynBitset::test(std::size_t i) const {
 }
 
 std::size_t DynBitset::count() const noexcept {
-  return simd::active().popcount(words_.data(), words_.size());
+  return simd::popcount(words_.data(), words_.size());
 }
 
 bool DynBitset::none() const noexcept {
-  return simd::active().is_zero(words_.data(), words_.size());
+  return simd::is_zero(words_.data(), words_.size());
 }
 
 bool DynBitset::is_subset_of(const DynBitset& other) const {
   check_same_size(other);
-  return simd::active().is_subset(words_.data(), other.words_.data(),
-                                  words_.size());
+  return simd::is_subset(words_.data(), other.words_.data(), words_.size());
 }
 
 bool DynBitset::is_subset_of_except(const DynBitset& other,
@@ -74,49 +73,45 @@ bool DynBitset::is_subset_of_except(const DynBitset& other,
                             std::to_string(ignore) + " >= size " +
                             std::to_string(nbits_));
   }
-  return simd::active().is_subset_except(
-      words_.data(), other.words_.data(), words_.size(), ignore / kWordBits,
-      Word{1} << (ignore % kWordBits));
+  return simd::is_subset_except(words_.data(), other.words_.data(),
+                                words_.size(), ignore / kWordBits,
+                                Word{1} << (ignore % kWordBits));
 }
 
 bool DynBitset::is_subset_of_union(const DynBitset& a,
                                    const DynBitset& b) const {
   check_same_size(a);
   check_same_size(b);
-  return simd::active().is_subset_union(words_.data(), a.words_.data(),
-                                        b.words_.data(), words_.size());
+  return simd::is_subset_union(words_.data(), a.words_.data(),
+                               b.words_.data(), words_.size());
 }
 
 bool DynBitset::intersects(const DynBitset& other) const {
   check_same_size(other);
-  return simd::active().intersects(words_.data(), other.words_.data(),
-                                   words_.size());
+  return simd::intersects(words_.data(), other.words_.data(), words_.size());
 }
 
 DynBitset& DynBitset::operator|=(const DynBitset& other) {
   check_same_size(other);
-  simd::active().or_inplace(words_.data(), other.words_.data(), words_.size());
+  simd::or_inplace(words_.data(), other.words_.data(), words_.size());
   return *this;
 }
 
 DynBitset& DynBitset::operator&=(const DynBitset& other) {
   check_same_size(other);
-  simd::active().and_inplace(words_.data(), other.words_.data(),
-                             words_.size());
+  simd::and_inplace(words_.data(), other.words_.data(), words_.size());
   return *this;
 }
 
 DynBitset& DynBitset::operator^=(const DynBitset& other) {
   check_same_size(other);
-  simd::active().xor_inplace(words_.data(), other.words_.data(),
-                             words_.size());
+  simd::xor_inplace(words_.data(), other.words_.data(), words_.size());
   return *this;
 }
 
 DynBitset& DynBitset::subtract(const DynBitset& other) {
   check_same_size(other);
-  simd::active().andnot_inplace(words_.data(), other.words_.data(),
-                                words_.size());
+  simd::andnot_inplace(words_.data(), other.words_.data(), words_.size());
   return *this;
 }
 

@@ -20,13 +20,12 @@
 // pairs are walked in blocks of at most 64 rows of the i dimension: the
 // block's rem1 rows are materialized once (row-major, so they sit
 // contiguous and L1-resident), then each coverage row N(c_j) streams once
-// per block — not once per pair — through a single subset_rows kernel call
-// that answers "which rem1 rows fit inside N(c_j)?" as a 64-bit mask. That
-// turns the O(m²) dispatched per-pair subset tests into O(m) batch calls
-// per block, which is where the old engine spent its time (the indirect
-// call cost more than the handful of row words it scanned). rem2 rows stay
-// lazy with popcount-vs-degree gates and nonzero-range scans, since the
-// refined case analysis only reads them for pairs that already cover v.
+// per block — not once per pair — through a single subset_rows call that
+// answers "which rem1 rows fit inside N(c_j)?" as a 64-bit mask, so the
+// O(m²) per-pair subset tests become O(m) batch calls per block. rem2
+// rows stay lazy with popcount-vs-degree gates and nonzero-range scans,
+// since the refined case analysis only reads them for pairs that already
+// cover v.
 //
 // The pair decision is existential (v yields iff SOME pair fires), so the
 // loop-order change is decision-identical to the classic nested loop, and
@@ -78,20 +77,6 @@ inline void nonzero_range(const simd::Word* dst, std::size_t nwords,
   hi = static_cast<std::uint32_t>(last);
 }
 
-/// Ranged containment a ⊆ b over a handful of words. Below the threshold
-/// an inline scalar scan beats any dispatched kernel (the indirect call
-/// costs more than the words); wider ranges go through `k`.
-inline bool subset_ranged(const simd::Kernels& k, const simd::Word* a,
-                          const simd::Word* b, std::size_t nwords) {
-  if (nwords <= 4) {
-    for (std::size_t i = 0; i < nwords; ++i) {
-      if ((a[i] & ~b[i]) != 0) return false;
-    }
-    return true;
-  }
-  return k.is_subset(a, b, nwords);
-}
-
 }  // namespace detail
 
 /// True iff some candidate pair covers v. `m` candidates, rows of `nwords`
@@ -101,7 +86,6 @@ template <typename Env>
 bool rule2_blocked_fires(const Env& env, std::size_t m, std::size_t nwords,
                          bool simple, Rule2BlockLane& lane) {
   if (m < 2 || nwords == 0) return false;
-  const simd::Kernels& k = simd::active();
   const simd::Word* vrow = env.vrow();
   // Union screen: peel candidate hoods off N(v) until nothing is left. If
   // a residue survives all m candidates, some neighbor of v is adjacent to
@@ -111,7 +95,7 @@ bool rule2_blocked_fires(const Env& env, std::size_t m, std::size_t nwords,
   // so precisely because such a neighbor exists, which makes this the
   // common exit; nodes that might fire usually zero the residue within a
   // few candidates (andnot_into returns the residue popcount, so each peel
-  // is one fused kernel call).
+  // is one fused pass over the row).
   {
     if (lane.uni.size() < nwords) {
       lane.uni.resize(nwords);
@@ -122,7 +106,7 @@ bool rule2_blocked_fires(const Env& env, std::size_t m, std::size_t nwords,
     simd::Word* back = lane.uni2.data();
     std::size_t residue = 1;
     for (std::size_t i = 0; i < m; ++i) {
-      residue = k.andnot_into(front, cur, env.row(i), nwords);
+      residue = simd::andnot_into(front, cur, env.row(i), nwords);
       if (residue == 0) break;
       cur = front;
       std::swap(front, back);
@@ -154,7 +138,7 @@ bool rule2_blocked_fires(const Env& env, std::size_t m, std::size_t nwords,
     if (lane.built2[i] == 0) {
       simd::Word* dst = lane.rem2.data() + i * nwords;
       lane.pop2[i] = static_cast<std::uint32_t>(
-          k.andnot_into(dst, env.row(i), vrow, nwords));
+          simd::andnot_into(dst, env.row(i), vrow, nwords));
       if (lane.pop2[i] != 0) {
         detail::nonzero_range(dst, nwords, lane.lo2[i], lane.hi2[i]);
       }
@@ -166,9 +150,9 @@ bool rule2_blocked_fires(const Env& env, std::size_t m, std::size_t nwords,
     build2(a);
     if (lane.pop2[a] > degree(b)) return false;
     return lane.pop2[a] == 0 ||
-           detail::subset_ranged(
-               k, lane.rem2.data() + a * nwords + lane.lo2[a],
-               env.row(b) + lane.lo2[a], lane.hi2[a] - lane.lo2[a] + 1);
+           simd::is_subset(lane.rem2.data() + a * nwords + lane.lo2[a],
+                           env.row(b) + lane.lo2[a],
+                           lane.hi2[a] - lane.lo2[a] + 1);
   };
   // Tile the i dimension in blocks of at most 64 rows so the batch mask
   // fits one word. rem1 rows are row-major in lane.rem, so a block's rows
@@ -184,14 +168,14 @@ bool rule2_blocked_fires(const Env& env, std::size_t m, std::size_t nwords,
     for (std::size_t j = b0 + 1; j < m; ++j) {
       const std::size_t iend = std::min(j, b1);
       while (built_hi < iend) {
-        k.andnot_into(lane.rem.data() + built_hi * nwords, vrow,
-                      env.row(built_hi), nwords);
+        simd::andnot_into(lane.rem.data() + built_hi * nwords, vrow,
+                          env.row(built_hi), nwords);
         ++built_hi;
       }
       // Bit r set  ⟺  rem1[b0 + r] ⊆ N(c_j)  ⟺  pair (c_{b0+r}, c_j)
       // covers N(v).
-      std::uint64_t fires = k.subset_rows(lane.rem.data() + b0 * nwords,
-                                          iend - b0, nwords, env.row(j));
+      std::uint64_t fires = simd::subset_rows(lane.rem.data() + b0 * nwords,
+                                              iend - b0, nwords, env.row(j));
       while (fires != 0) {
         const std::size_t i =
             b0 + static_cast<std::size_t>(std::countr_zero(fires));

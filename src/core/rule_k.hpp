@@ -25,8 +25,8 @@ namespace pacds {
 /// subgraph on {u ∈ N(v) : marked(u), key(v) < key(u)} — taking a whole
 /// component is the maximal connected candidate, so no subset search is
 /// needed. With `dense` rows available the component unions and the
-/// coverage test run word-parallel through the simd kernel layer instead
-/// of per-bit; decisions are identical.
+/// coverage test run word-parallel through the core/simd word primitives
+/// instead of per-bit; decisions are identical.
 [[nodiscard]] bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
                                        const PriorityKey& key, NodeId v,
                                        const DenseAdjacency* dense = nullptr);

@@ -74,7 +74,7 @@ void marked_neighbors_dense(const DynBitset& row, const DynBitset& marked,
 // loop runs through the blocked engine (rule2_blocked.hpp): residuals
 // N(v) \ N(u) are built once per candidate in L1-sized blocks and every
 // coverage row is streamed once per block instead of once per pair, with
-// all word traffic going through the simd kernel layer. On unit-disk
+// all word traffic going through the core/simd word primitives. On unit-disk
 // instances most candidate pairs still die on the popcount-vs-degree gate
 // or the first residual word.
 

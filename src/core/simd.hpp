@@ -1,103 +1,153 @@
 #pragma once
-// Vectorized kernels for the 64-bit word rows every coverage test in the
-// pipeline runs over. The primitives mirror exactly what DynBitset and the
-// dense rule kernels need — AND/AND-NOT/OR/XOR combines, subset and
-// subset-of-union tests, popcounts, and first-uncovered-word scans — and
-// every implementation is a pure word-wise function of its inputs, so all
-// dispatch levels are bit-identical by construction (the test suite sweeps
-// every level available on the host against the scalar path anyway).
+// Word-row primitives for the 64-bit rows every coverage test in the
+// pipeline runs over: AND/AND-NOT/OR/XOR combines, subset and
+// subset-of-union tests, popcounts, first-uncovered-word scans and the
+// batched subset_rows of the blocked Rule 2 engine. DynBitset and the dense
+// rule kernels call them directly; each is a plain inline loop, so the
+// compiler sees the row width at the call site.
 //
-// Dispatch ladder (highest available wins):
+// One scalar path serves every build. A dense row holds one bit per host,
+// and the graphs the marking process and Rules 1/2 scan in the paper's
+// runs (n <= 100, or one ~110-host tile) make rows about two words wide,
+// where a vector step has nothing to amortize; DESIGN.md §11 has the
+// measurements. On x86-64 the root build adds -mpopcnt, so std::popcount
+// is one instruction instead of a libgcc call.
 //
-//   avx512  — 8 words per step, compiled with GCC/Clang target attributes,
-//             selected when the CPU reports AVX-512F + AVX-512BW
-//   avx2    — 4 words per step, selected on AVX2 hosts
-//   neon    — 2 words per step, aarch64 baseline (compile-time)
-//   scalar  — portable std::* fallback, always present
-//
-// The binary carries every path its compiler can emit (no -mavx2 build flag
-// needed; each function is annotated individually) and picks one at runtime
-// from CPUID. `PACDS_SIMD={auto,scalar,avx2,avx512,neon}` overrides the
-// choice for testing; asking for a level the host lacks warns on stderr and
-// falls back to the best available. Tests may also force a level through
-// set_level(), which swaps one atomic pointer — safe between runs, and safe
-// with concurrent readers (they see either full kernel table).
+// Every primitive tolerates nwords == 0 (it never dereferences and returns
+// its identity).
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace pacds::simd {
 
 using Word = std::uint64_t;
 
-enum class Level : std::uint8_t { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
+/// The kernel path this build runs (there is one); run stamps record its
+/// name.
+enum class Level : std::uint8_t { kScalar = 0 };
 
-/// One fully-populated kernel table. All pointers are non-null for every
-/// level; `nwords` may be 0 (every primitive then returns its identity).
-struct Kernels {
-  Level level;
+[[nodiscard]] constexpr Level active_level() noexcept { return Level::kScalar; }
 
-  /// dst[i] |= src[i]
-  void (*or_inplace)(Word* dst, const Word* src, std::size_t nwords);
-  /// dst[i] &= src[i]
-  void (*and_inplace)(Word* dst, const Word* src, std::size_t nwords);
-  /// dst[i] &= ~src[i]
-  void (*andnot_inplace)(Word* dst, const Word* src, std::size_t nwords);
-  /// dst[i] ^= src[i]
-  void (*xor_inplace)(Word* dst, const Word* src, std::size_t nwords);
+/// "scalar".
+[[nodiscard]] constexpr const char* to_string(Level /*level*/) noexcept {
+  return "scalar";
+}
 
-  /// true iff a[i] & ~b[i] == 0 for all i (a ⊆ b).
-  bool (*is_subset)(const Word* a, const Word* b, std::size_t nwords);
-  /// is_subset with one bit excused: word `iw` of the uncovered residue is
-  /// masked by ~imask before the zero test (Rule 1's N(v) \ {u} ⊆ N(u)).
-  bool (*is_subset_except)(const Word* a, const Word* b, std::size_t nwords,
-                           std::size_t iw, Word imask);
-  /// true iff a[i] & ~(b[i] | c[i]) == 0 for all i (a ⊆ b ∪ c).
-  bool (*is_subset_union)(const Word* a, const Word* b, const Word* c,
-                          std::size_t nwords);
-  /// true iff a[i] & b[i] != 0 for some i.
-  bool (*intersects)(const Word* a, const Word* b, std::size_t nwords);
-  /// Σ popcount(a[i]).
-  std::size_t (*popcount)(const Word* a, std::size_t nwords);
-  /// true iff every a[i] == 0.
-  bool (*is_zero)(const Word* a, std::size_t nwords);
-  /// dst[i] = a[i] & ~b[i]; returns Σ popcount(dst[i]). The Rule 2 residual
-  /// builder (N(v) \ N(u)) fused with the popcount-vs-degree gate's input.
-  std::size_t (*andnot_into)(Word* dst, const Word* a, const Word* b,
-                             std::size_t nwords);
-  /// Smallest i with a[i] & ~b[i] != 0, or nwords if none — "first
-  /// uncovered word", the early-exit scan of the residual subset tests.
-  std::size_t (*first_uncovered_word)(const Word* a, const Word* b,
-                                      std::size_t nwords);
-  /// Bit r of the result is set iff row r of `rows` (rows + r*nwords,
-  /// nwords words) is a subset of b. nrows <= 64. The blocked Rule 2
-  /// engine's batch test: one call per streamed coverage row instead of
-  /// one dispatched call per candidate pair.
-  std::uint64_t (*subset_rows)(const Word* rows, std::size_t nrows,
-                               std::size_t nwords, const Word* b);
-};
+/// dst[i] |= src[i]
+inline void or_inplace(Word* dst, const Word* src, std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) dst[i] |= src[i];
+}
 
-/// The dispatched kernel table. First call resolves the level: PACDS_SIMD
-/// override if set, else the best level CPUID reports. Subsequent calls are
-/// one relaxed atomic load.
-[[nodiscard]] const Kernels& active() noexcept;
+/// dst[i] &= src[i]
+inline void and_inplace(Word* dst, const Word* src, std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) dst[i] &= src[i];
+}
 
-/// Level of the table active() currently returns.
-[[nodiscard]] Level active_level() noexcept;
+/// dst[i] &= ~src[i]
+inline void andnot_inplace(Word* dst, const Word* src, std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) dst[i] &= ~src[i];
+}
 
-/// Highest level this host supports.
-[[nodiscard]] Level detect_best() noexcept;
+/// dst[i] ^= src[i]
+inline void xor_inplace(Word* dst, const Word* src, std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) dst[i] ^= src[i];
+}
 
-/// Every level this host can run, ascending (always starts with kScalar).
-[[nodiscard]] std::vector<Level> available_levels();
+/// true iff a[i] & ~b[i] == 0 for all i (a ⊆ b).
+[[nodiscard]] inline bool is_subset(const Word* a, const Word* b,
+                                    std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) {
+    if ((a[i] & ~b[i]) != 0) return false;
+  }
+  return true;
+}
 
-/// Forces the active table to `level`. Returns false (and changes nothing)
-/// when the host lacks it. Intended for tests and benchmarks; call between
-/// pipeline runs, not concurrently with them.
-bool set_level(Level level) noexcept;
+/// is_subset with one bit excused: word `iw` of the uncovered residue is
+/// masked by ~imask before the zero test (Rule 1's N(v) \ {u} ⊆ N(u)).
+[[nodiscard]] inline bool is_subset_except(const Word* a, const Word* b,
+                                           std::size_t nwords, std::size_t iw,
+                                           Word imask) {
+  for (std::size_t i = 0; i < nwords; ++i) {
+    Word uncovered = a[i] & ~b[i];
+    if (i == iw) uncovered &= ~imask;
+    if (uncovered != 0) return false;
+  }
+  return true;
+}
 
-/// "scalar", "neon", "avx2", "avx512".
-[[nodiscard]] const char* to_string(Level level) noexcept;
+/// true iff a[i] & ~(b[i] | c[i]) == 0 for all i (a ⊆ b ∪ c).
+[[nodiscard]] inline bool is_subset_union(const Word* a, const Word* b,
+                                          const Word* c, std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) {
+    if ((a[i] & ~(b[i] | c[i])) != 0) return false;
+  }
+  return true;
+}
+
+/// true iff a[i] & b[i] != 0 for some i.
+[[nodiscard]] inline bool intersects(const Word* a, const Word* b,
+                                     std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) {
+    if ((a[i] & b[i]) != 0) return true;
+  }
+  return false;
+}
+
+/// Σ popcount(a[i]).
+[[nodiscard]] inline std::size_t popcount(const Word* a, std::size_t nwords) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < nwords; ++i) {
+    total += static_cast<std::size_t>(std::popcount(a[i]));
+  }
+  return total;
+}
+
+/// true iff every a[i] == 0.
+[[nodiscard]] inline bool is_zero(const Word* a, std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) {
+    if (a[i] != 0) return false;
+  }
+  return true;
+}
+
+/// dst[i] = a[i] & ~b[i]; returns Σ popcount(dst[i]). The Rule 2 residual
+/// builder (N(v) \ N(u)) fused with the popcount-vs-degree gate's input.
+inline std::size_t andnot_into(Word* dst, const Word* a, const Word* b,
+                               std::size_t nwords) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < nwords; ++i) {
+    const Word w = a[i] & ~b[i];
+    dst[i] = w;
+    total += static_cast<std::size_t>(std::popcount(w));
+  }
+  return total;
+}
+
+/// Smallest i with a[i] & ~b[i] != 0, or nwords if none (the first
+/// uncovered word).
+[[nodiscard]] inline std::size_t first_uncovered_word(const Word* a,
+                                                      const Word* b,
+                                                      std::size_t nwords) {
+  for (std::size_t i = 0; i < nwords; ++i) {
+    if ((a[i] & ~b[i]) != 0) return i;
+  }
+  return nwords;
+}
+
+/// Bit r of the result is set iff row r of `rows` (rows + r*nwords,
+/// nwords words) is a subset of b. nrows <= 64. The blocked Rule 2
+/// engine's batch test: one call per streamed coverage row.
+[[nodiscard]] inline std::uint64_t subset_rows(const Word* rows,
+                                               std::size_t nrows,
+                                               std::size_t nwords,
+                                               const Word* b) {
+  std::uint64_t out = 0;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    if (is_subset(rows + r * nwords, b, nwords)) out |= std::uint64_t{1} << r;
+  }
+  return out;
+}
 
 }  // namespace pacds::simd

@@ -12,7 +12,6 @@
 #include "baselines/mis_cds.hpp"
 #include "baselines/tree_cds.hpp"
 #include "core/cds.hpp"
-#include "core/simd.hpp"
 #include "core/verify.hpp"
 #include "dist/protocol.hpp"
 #include "energy/traffic.hpp"
@@ -554,30 +553,6 @@ void check_empty_plan_identity(const FuzzScenario& s,
   }
 }
 
-void check_simd_identity(const FuzzScenario& s, const OracleOptions& opts,
-                         std::vector<OracleFailure>& failures) {
-  // Forces the whole trial through the scalar kernel table, then through
-  // the host's best vector level, and demands bit-identity. Engines,
-  // rule passes and the dense/tiled kernels all route their word loops
-  // through simd::active(), so this covers every consumer at once.
-  if (simd::available_levels().size() < 2) return;
-  const simd::Level before = simd::active_level();
-  const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
-  simd::set_level(simd::Level::kScalar);
-  const TrialRun a = run_trial(s.config, s.trial_seed, plan);
-  simd::set_level(simd::detect_best());
-  TrialRun b = run_trial(s.config, s.trial_seed, plan);
-  simd::set_level(before);
-  if (opts.mutation == kMutateSimdIdentity) ++b.result.intervals;
-  const std::string diff = diff_runs(
-      "simd=scalar", a,
-      std::string("simd=") + simd::to_string(simd::detect_best()), b,
-      /*with_touched=*/true);
-  if (!diff.empty()) {
-    failures.push_back({"simd-identity", diff + " [" + describe(s) + "]"});
-  }
-}
-
 /// Canonical, timing-free form of a JSONL metrics stream: every record
 /// re-serialized with "*_ns" values zeroed, serve envelope records
 /// (serve_response / serve_error) dropped and the "tenant" tag removed —
@@ -709,7 +684,6 @@ std::vector<OracleFailure> run_oracles(const FuzzScenario& scenario,
   check_lifetime_invariants(scenario, options, failures);
   check_jsonl_schema(scenario, options, failures);
   check_empty_plan_identity(scenario, options, failures);
-  check_simd_identity(scenario, options, failures);
   check_serve_identity(scenario, options, failures);
   return failures;
 }

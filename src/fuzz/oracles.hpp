@@ -29,10 +29,6 @@
 //                         obs::validate_metrics_stream.
 //   empty-plan-identity — a trial with an event-free plan is bit-identical
 //                         to the fault-free twin.
-//   simd-identity       — the same trial forced through the scalar kernel
-//                         table vs the host's best dispatch level
-//                         (simd::set_level) is bit-identical; skipped when
-//                         the host has no vector path.
 //   gap-bound           — the branch-and-bound exact optimum is a true
 //                         lower bound: it matches the exhaustive bitmask
 //                         optimum where that is computable (n <= 20), every
@@ -69,6 +65,7 @@ struct OracleFailure {
 // Mutation-testing hooks: each constant makes run_oracles deliberately
 // perturb the named oracle's observed data, so tests can prove a real
 // defect would be caught, shrunk and written as a reproducer. 0 = off.
+// Values are stable, so 9 stays unused.
 inline constexpr int kMutateNone = 0;
 inline constexpr int kMutateCdsValidity = 1;
 inline constexpr int kMutateEngineIdentity = 2;
@@ -78,7 +75,6 @@ inline constexpr int kMutateEnergyAccounting = 5;
 inline constexpr int kMutateFaultStats = 6;
 inline constexpr int kMutateJsonl = 7;
 inline constexpr int kMutateEmptyPlanIdentity = 8;
-inline constexpr int kMutateSimdIdentity = 9;
 inline constexpr int kMutateServeIdentity = 10;
 inline constexpr int kMutateGapBound = 11;
 

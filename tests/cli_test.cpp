@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "io/json_parse.hpp"
+#include "sim/lifetime.hpp"
 
 namespace pacds::cli {
 namespace {
@@ -493,6 +494,23 @@ TEST(CliTest, SimMetricsDashStreamsJsonlToStdout) {
   }
   EXPECT_GT(fault_events, 0u);
   std::remove(path.c_str());
+}
+
+TEST(CliTest, SimSelDefaultsMatchSimConfig) {
+  // serve, config JSON and the fuzzer all start from SimConfig{}; a bare
+  // `pacds sim --scheme SEL` must run the same SEL key.
+  const CliRun r = run_cli({"sim", "--n", "20", "--trials", "1", "--scheme",
+                            "SEL", "--metrics", "-"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const JsonValue manifest = parse_json(r.out.substr(0, r.out.find('\n')));
+  ASSERT_NE(manifest.find("type"), nullptr);
+  ASSERT_EQ(manifest.find("type")->as_string(), "run_manifest");
+  ASSERT_NE(manifest.find("stability_beta"), nullptr);
+  ASSERT_NE(manifest.find("stability_quantum"), nullptr);
+  EXPECT_EQ(manifest.find("stability_beta")->as_number(),
+            SimConfig{}.stability_beta);
+  EXPECT_EQ(manifest.find("stability_quantum")->as_number(),
+            SimConfig{}.stability_quantum);
 }
 
 TEST(CliTest, ServeInUsage) {

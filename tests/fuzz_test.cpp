@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/simd.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/scenario.hpp"
 #include "fuzz/shrink.hpp"
@@ -220,20 +219,6 @@ TEST(FuzzOracleTest, EveryMutationIsCaughtByItsOracle) {
     EXPECT_TRUE(run_oracles(s).empty())
         << c.oracle << ": scenario fails even unmutated";
   }
-}
-
-TEST(FuzzOracleTest, SimdIdentityMutationIsCaught) {
-  // simd-identity's domain is a host property (a second dispatch level),
-  // not a scenario property, so it gets its own skip-guarded case instead
-  // of a row in the table above.
-  if (simd::available_levels().size() < 2) {
-    GTEST_SKIP() << "host has only the scalar kernel path";
-  }
-  const FuzzScenario s = random_scenario(1, 0);
-  EXPECT_TRUE(fails_oracle(s, kMutateSimdIdentity, "simd-identity"))
-      << "simd-identity mutation not caught on " << describe(s);
-  EXPECT_TRUE(run_oracles(s).empty())
-      << "simd-identity: scenario fails even unmutated";
 }
 
 // ---- shrinking ------------------------------------------------------------
