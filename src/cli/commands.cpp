@@ -12,6 +12,7 @@
 #include "cli/args.hpp"
 #include "core/articulation.hpp"
 #include "core/cds.hpp"
+#include "core/enum_names.hpp"
 #include "core/metrics.hpp"
 #include "core/rule_k.hpp"
 #include "core/verify.hpp"
@@ -119,64 +120,36 @@ std::vector<double> energies_for(const LoadedGraph& loaded,
   return energy;
 }
 
-std::optional<RuleSet> parse_scheme(const std::string& name) {
-  if (name == "NR") return RuleSet::kNR;
-  if (name == "ID") return RuleSet::kID;
-  if (name == "ND") return RuleSet::kND;
-  if (name == "EL1") return RuleSet::kEL1;
-  if (name == "EL2") return RuleSet::kEL2;
-  if (name == "SEL") return RuleSet::kSEL;
-  return std::nullopt;
-}
-
-std::optional<Strategy> parse_strategy(const std::string& name) {
-  if (name == "simultaneous") return Strategy::kSimultaneous;
-  if (name == "sequential") return Strategy::kSequential;
-  if (name == "verified") return Strategy::kVerified;
-  return std::nullopt;
-}
-
-std::optional<KeyKind> parse_key(const std::string& name) {
-  if (name == "ID") return KeyKind::kId;
-  if (name == "ND") return KeyKind::kDegreeId;
-  if (name == "EL1") return KeyKind::kEnergyId;
-  if (name == "EL2") return KeyKind::kEnergyDegreeId;
-  if (name == "SEL") return KeyKind::kStabilityEnergyId;
-  return std::nullopt;
-}
-
-std::optional<MobilityKind> parse_mobility_kind(const std::string& name) {
-  if (name == "paper-jump") return MobilityKind::kPaperJump;
-  if (name == "random-walk") return MobilityKind::kRandomWalk;
-  if (name == "random-waypoint") return MobilityKind::kRandomWaypoint;
-  if (name == "gauss-markov") return MobilityKind::kGaussMarkov;
-  if (name == "static") return MobilityKind::kStatic;
-  return std::nullopt;
-}
-
-std::optional<RadioKind> parse_radio_kind(const std::string& name) {
-  if (name == "unit-disk") return RadioKind::kUnitDisk;
-  if (name == "shadowing") return RadioKind::kShadowing;
-  if (name == "probabilistic") return RadioKind::kProbabilistic;
-  return std::nullopt;
+/// The value --<option> names in E's name table. An unknown name prints
+/// "error: unknown <option> '<value>'" and yields nullopt (exit code 2).
+template <NamedEnum E>
+std::optional<E> option_enum(const ArgParser& parser, const std::string& option,
+                             std::ostream& err) {
+  const std::string name = parser.option(option);
+  const std::optional<E> value = enum_from_name<E>(name);
+  if (!value) err << "error: unknown " << option << " '" << name << "'\n";
+  return value;
 }
 
 /// Parses --scheme for the simulation commands: "all" or one scheme name.
 /// "all" stays the paper's five schemes; SEL is opt-in by name so the
 /// default sweeps keep reproducing the paper's tables unchanged.
-std::optional<std::vector<RuleSet>> parse_scheme_list(const std::string& name,
+std::optional<std::vector<RuleSet>> parse_scheme_list(const ArgParser& parser,
                                                       std::ostream& err) {
-  std::vector<RuleSet> schemes;
-  if (name == "all") {
-    schemes.assign(std::begin(kAllRuleSets), std::end(kAllRuleSets));
-    return schemes;
+  if (parser.option("scheme") == "all") {
+    return std::vector<RuleSet>(std::begin(kAllRuleSets),
+                                std::end(kAllRuleSets));
   }
-  if (const auto rs = parse_scheme(name)) {
-    schemes.push_back(*rs);
-    return schemes;
+  if (const auto rs = option_enum<RuleSet>(parser, "scheme", err)) {
+    return std::vector<RuleSet>{*rs};
   }
-  err << "error: unknown scheme '" << name << "'\n";
   return std::nullopt;
+}
+
+/// --model 1|2|3 (checked by the caller): the paper's drain Models 1-3, in
+/// DrainModel's declaration order.
+DrainModel drain_model_of(std::int64_t model) {
+  return static_cast<DrainModel>(model - 1);
 }
 
 /// Opens --metrics when given; a default-constructed sink stays detached.
@@ -223,11 +196,8 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   const Graph& g = loaded->graph;
   const auto seed =
       static_cast<std::uint64_t>(parser.option_int("seed").value_or(2001));
-  const auto strategy = parse_strategy(parser.option("strategy"));
-  if (!strategy) {
-    err << "error: unknown strategy '" << parser.option("strategy") << "'\n";
-    return 2;
-  }
+  const auto strategy = option_enum<Strategy>(parser, "strategy", err);
+  if (!strategy) return 2;
   const std::vector<double> energy = energies_for(*loaded, seed);
 
   const std::string save_path = parser.option("save-scenario");
@@ -251,18 +221,12 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   CdsResult result;
   const std::string scheme = parser.option("scheme");
   if (scheme == "RULEK") {
-    const auto key = parse_key(parser.option("key"));
-    if (!key) {
-      err << "error: unknown key '" << parser.option("key") << "'\n";
-      return 2;
-    }
+    const auto key = option_enum<KeyKind>(parser, "key", err);
+    if (!key) return 2;
     result = compute_cds_rule_k(g, *key, energy, *strategy);
   } else {
-    const auto rs = parse_scheme(scheme);
-    if (!rs) {
-      err << "error: unknown scheme '" << scheme << "'\n";
-      return 2;
-    }
+    const auto rs = option_enum<RuleSet>(parser, "scheme", err);
+    if (!rs) return 2;
     CdsOptions options;
     options.strategy = *strategy;
     result = compute_cds(g, *rs, energy, options);
@@ -361,11 +325,8 @@ int cmd_route(const std::vector<std::string>& tokens, std::ostream& out,
   const auto loaded = load_graph(parser, err);
   if (!loaded) return 1;
   const Graph& g = loaded->graph;
-  const auto rs = parse_scheme(parser.option("scheme"));
-  if (!rs) {
-    err << "error: unknown scheme '" << parser.option("scheme") << "'\n";
-    return 2;
-  }
+  const auto rs = option_enum<RuleSet>(parser, "scheme", err);
+  if (!rs) return 2;
   const auto src = parser.option_int("src");
   const auto dst = parser.option_int("dst");
   if (!src || !dst || *src < 0 || *dst < 0 || *src >= g.num_nodes() ||
@@ -489,58 +450,31 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
     err << "error: bad numeric option\n" << parser.usage();
     return 2;
   }
-  const auto strategy = parse_strategy(parser.option("strategy"));
-  if (!strategy) {
-    err << "error: unknown strategy '" << parser.option("strategy") << "'\n";
-    return 2;
-  }
+  const auto strategy = option_enum<Strategy>(parser, "strategy", err);
+  if (!strategy) return 2;
+  const auto mobility = option_enum<MobilityKind>(parser, "mobility", err);
+  if (!mobility) return 2;
+  const auto radio = option_enum<RadioKind>(parser, "radio", err);
+  if (!radio) return 2;
+  const auto engine = option_enum<SimEngine>(parser, "engine", err);
+  if (!engine) return 2;
+  const auto backbone = option_enum<BackboneMode>(parser, "backbone", err);
+  if (!backbone) return 2;
   SimConfig config;
   config.n_hosts = static_cast<int>(*n);
-  config.drain_model = *model == 1   ? DrainModel::kConstantTotal
-                       : *model == 2 ? DrainModel::kLinearTotal
-                                     : DrainModel::kQuadraticTotal;
+  config.drain_model = drain_model_of(*model);
   config.energy_key_quantum = *quantum;
   config.cds_options.strategy = *strategy;
   config.threads = static_cast<int>(*threads);
   config.field_depth = *depth;
   config.stability_beta = *stability_beta;
   config.stability_quantum = *stability_quantum;
-  const auto mobility = parse_mobility_kind(parser.option("mobility"));
-  if (!mobility) {
-    err << "error: unknown mobility '" << parser.option("mobility") << "'\n";
-    return 2;
-  }
   config.mobility_kind = *mobility;
-  const auto radio = parse_radio_kind(parser.option("radio"));
-  if (!radio) {
-    err << "error: unknown radio '" << parser.option("radio") << "'\n";
-    return 2;
-  }
   config.radio = *radio;
   config.radio_params.fading_seed =
       static_cast<std::uint64_t>(*fading_seed);
-  const std::string engine = parser.option("engine");
-  if (engine == "auto") {
-    config.engine = SimEngine::kAuto;
-  } else if (engine == "full") {
-    config.engine = SimEngine::kFullRebuild;
-  } else if (engine == "incremental") {
-    config.engine = SimEngine::kIncremental;
-  } else if (engine == "tiled") {
-    config.engine = SimEngine::kTiled;
-  } else {
-    err << "error: unknown engine '" << engine << "'\n";
-    return 2;
-  }
-  const std::string backbone = parser.option("backbone");
-  if (backbone == "scheme") {
-    config.backbone = BackboneMode::kScheme;
-  } else if (backbone == "cds22") {
-    config.backbone = BackboneMode::kCds22;
-  } else {
-    err << "error: unknown backbone '" << backbone << "'\n";
-    return 2;
-  }
+  config.engine = *engine;
+  config.backbone = *backbone;
   config.tiles = static_cast<int>(*tiles);
   if (config.backbone == BackboneMode::kCds22 &&
       (config.engine == SimEngine::kIncremental ||
@@ -558,7 +492,7 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
     return 2;
   }
 
-  const auto schemes = parse_scheme_list(parser.option("scheme"), err);
+  const auto schemes = parse_scheme_list(parser, err);
   if (!schemes) return 2;
 
   std::optional<FaultPlan> fault_plan;
@@ -732,12 +666,9 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
     err << "error: bad numeric option\n" << parser.usage();
     return 2;
   }
-  const auto strategy = parse_strategy(parser.option("strategy"));
-  if (!strategy) {
-    err << "error: unknown strategy '" << parser.option("strategy") << "'\n";
-    return 2;
-  }
-  const auto schemes = parse_scheme_list(parser.option("scheme"), err);
+  const auto strategy = option_enum<Strategy>(parser, "strategy", err);
+  if (!strategy) return 2;
+  const auto schemes = parse_scheme_list(parser, err);
   if (!schemes) return 2;
 
   SweepConfig sweep;
@@ -775,9 +706,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
   sweep.schemes = *schemes;
   sweep.trials = static_cast<std::size_t>(*trials);
   sweep.base_seed = static_cast<std::uint64_t>(*seed);
-  sweep.base.drain_model = *model == 1   ? DrainModel::kConstantTotal
-                           : *model == 2 ? DrainModel::kLinearTotal
-                                         : DrainModel::kQuadraticTotal;
+  sweep.base.drain_model = drain_model_of(*model);
   sweep.base.cds_options.strategy = *strategy;
 
   std::ofstream metrics_file;

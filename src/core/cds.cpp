@@ -6,24 +6,6 @@
 
 namespace pacds {
 
-std::string to_string(RuleSet rs) {
-  switch (rs) {
-    case RuleSet::kNR:
-      return "NR";
-    case RuleSet::kID:
-      return "ID";
-    case RuleSet::kND:
-      return "ND";
-    case RuleSet::kEL1:
-      return "EL1";
-    case RuleSet::kEL2:
-      return "EL2";
-    case RuleSet::kSEL:
-      return "SEL";
-  }
-  return "?";
-}
-
 bool uses_energy(RuleSet rs) {
   return rs == RuleSet::kEL1 || rs == RuleSet::kEL2 || rs == RuleSet::kSEL;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/bitset.hpp"
+#include "core/enum_names.hpp"
 #include "core/graph.hpp"
 #include "core/keys.hpp"
 #include "core/marking.hpp"
@@ -35,7 +36,14 @@ inline constexpr RuleSet kAllRuleSets[] = {RuleSet::kNR, RuleSet::kID,
                                            RuleSet::kND, RuleSet::kEL1,
                                            RuleSet::kEL2};
 
-[[nodiscard]] std::string to_string(RuleSet rs);
+constexpr auto enum_names(RuleSet) {
+  return std::to_array<EnumName<RuleSet>>({{RuleSet::kNR, "NR"},
+                                           {RuleSet::kID, "ID"},
+                                           {RuleSet::kND, "ND"},
+                                           {RuleSet::kEL1, "EL1"},
+                                           {RuleSet::kEL2, "EL2"},
+                                           {RuleSet::kSEL, "SEL"}});
+}
 
 /// True iff the scheme's priority key reads node energy levels.
 [[nodiscard]] bool uses_energy(RuleSet rs);

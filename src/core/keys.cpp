@@ -6,22 +6,6 @@
 
 namespace pacds {
 
-std::string to_string(KeyKind kind) {
-  switch (kind) {
-    case KeyKind::kId:
-      return "ID";
-    case KeyKind::kDegreeId:
-      return "ND";
-    case KeyKind::kEnergyId:
-      return "EL1";
-    case KeyKind::kEnergyDegreeId:
-      return "EL2";
-    case KeyKind::kStabilityEnergyId:
-      return "SEL";
-  }
-  return "?";
-}
-
 PriorityKey::PriorityKey(KeyKind kind, const Graph& graph,
                          const std::vector<double>* energy,
                          const std::vector<double>* stability)

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/enum_names.hpp"
 #include "core/graph.hpp"
 
 namespace pacds {
@@ -39,7 +40,15 @@ enum class KeyKind : std::uint8_t {
   kStabilityEnergyId,  ///< (stability, energy, id) — scenario-pack SEL
 };
 
-[[nodiscard]] std::string to_string(KeyKind kind);
+/// The same names as the RuleSet each key chain belongs to.
+constexpr auto enum_names(KeyKind) {
+  return std::to_array<EnumName<KeyKind>>(
+      {{KeyKind::kId, "ID"},
+       {KeyKind::kDegreeId, "ND"},
+       {KeyKind::kEnergyId, "EL1"},
+       {KeyKind::kEnergyDegreeId, "EL2"},
+       {KeyKind::kStabilityEnergyId, "SEL"}});
+}
 
 /// Strict-total-order comparator over the nodes of one graph snapshot.
 ///

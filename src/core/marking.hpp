@@ -5,6 +5,7 @@
 // connected component (Properties 1-3 of the paper).
 
 #include "core/bitset.hpp"
+#include "core/enum_names.hpp"
 #include "core/graph.hpp"
 #include "core/keys.hpp"
 #include "core/parallel.hpp"
@@ -46,6 +47,12 @@ enum class CliquePolicy : std::uint8_t {
   kElectMaxKey,  ///< elect the highest-priority node of each complete
                  ///< component as its gateway (routing-friendly)
 };
+
+constexpr auto enum_names(CliquePolicy) {
+  return std::to_array<EnumName<CliquePolicy>>(
+      {{CliquePolicy::kNone, "none"},
+       {CliquePolicy::kElectMaxKey, "elect-max-key"}});
+}
 
 /// Applies `policy` to the marked set: for kElectMaxKey, each connected
 /// component with no marked node (necessarily complete, or a singleton)

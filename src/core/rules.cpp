@@ -7,28 +7,6 @@
 
 namespace pacds {
 
-std::string to_string(Rule2Form form) {
-  switch (form) {
-    case Rule2Form::kSimple:
-      return "simple";
-    case Rule2Form::kRefined:
-      return "refined";
-  }
-  return "?";
-}
-
-std::string to_string(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kSimultaneous:
-      return "simultaneous";
-    case Strategy::kSequential:
-      return "sequential";
-    case Strategy::kVerified:
-      return "verified";
-  }
-  return "?";
-}
-
 bool rule1_would_unmark(const Graph& g, const DynBitset& marked,
                         const PriorityKey& key, NodeId v) {
   if (!marked.test(static_cast<std::size_t>(v))) return false;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/bitset.hpp"
+#include "core/enum_names.hpp"
 #include "core/graph.hpp"
 #include "core/keys.hpp"
 #include "core/marking.hpp"
@@ -62,8 +63,17 @@ enum class Strategy : std::uint8_t {
   kVerified,
 };
 
-[[nodiscard]] std::string to_string(Rule2Form form);
-[[nodiscard]] std::string to_string(Strategy strategy);
+constexpr auto enum_names(Rule2Form) {
+  return std::to_array<EnumName<Rule2Form>>(
+      {{Rule2Form::kSimple, "simple"}, {Rule2Form::kRefined, "refined"}});
+}
+
+constexpr auto enum_names(Strategy) {
+  return std::to_array<EnumName<Strategy>>(
+      {{Strategy::kSimultaneous, "simultaneous"},
+       {Strategy::kSequential, "sequential"},
+       {Strategy::kVerified, "verified"}});
+}
 
 /// Full rule-application configuration.
 struct RuleConfig {

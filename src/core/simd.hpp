@@ -1,10 +1,10 @@
 #pragma once
 // Word-row primitives for the 64-bit rows every coverage test in the
 // pipeline runs over: AND/AND-NOT/OR/XOR combines, subset and
-// subset-of-union tests, popcounts, first-uncovered-word scans and the
-// batched subset_rows of the blocked Rule 2 engine. DynBitset and the dense
-// rule kernels call them directly; each is a plain inline loop, so the
-// compiler sees the row width at the call site.
+// subset-of-union tests, popcounts and the batched subset_rows of the
+// blocked Rule 2 engine. DynBitset and the dense rule kernels call them
+// directly; each is a plain inline loop, so the compiler sees the row
+// width at the call site.
 //
 // One scalar path serves every build. A dense row holds one bit per host,
 // and the graphs the marking process and Rules 1/2 scan in the paper's
@@ -123,17 +123,6 @@ inline std::size_t andnot_into(Word* dst, const Word* a, const Word* b,
     total += static_cast<std::size_t>(std::popcount(w));
   }
   return total;
-}
-
-/// Smallest i with a[i] & ~b[i] != 0, or nwords if none (the first
-/// uncovered word).
-[[nodiscard]] inline std::size_t first_uncovered_word(const Word* a,
-                                                      const Word* b,
-                                                      std::size_t nwords) {
-  for (std::size_t i = 0; i < nwords; ++i) {
-    if ((a[i] & ~b[i]) != 0) return i;
-  }
-  return nwords;
 }
 
 /// Bit r of the result is set iff row r of `rows` (rows + r*nwords,

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/enum_names.hpp"
+
 namespace pacds {
 
 /// Gateway drain model selector.
@@ -23,6 +25,16 @@ enum class DrainModel : std::uint8_t {
   kQuadraticTotal,  ///< Model 3: d = N(N-1)/2 / (divisor * |G'|)
 };
 
+/// Wire and CLI names (the config format's "drain_model").
+constexpr auto enum_names(DrainModel) {
+  return std::to_array<EnumName<DrainModel>>(
+      {{DrainModel::kConstantTotal, "constant"},
+       {DrainModel::kLinearTotal, "linear"},
+       {DrainModel::kQuadraticTotal, "quadratic"}});
+}
+
+/// Display label ("d=N/|G'|") that tables and run manifests print. It
+/// overrides the generic to_string, so the wire name is enum_name(model).
 [[nodiscard]] std::string to_string(DrainModel model);
 
 /// Tunable constants of the drain models (paper defaults).

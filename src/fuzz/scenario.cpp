@@ -1,6 +1,5 @@
 #include "fuzz/scenario.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,31 +17,10 @@ namespace {
 /// generated ones are masked below 2^48.
 constexpr std::uint64_t kSeedMask = (std::uint64_t{1} << 48) - 1;
 
-[[noreturn]] void fail(const std::string& message) {
-  throw std::runtime_error("fuzz scenario: " + message);
-}
+constexpr std::string_view kPrefix = "fuzz scenario: ";
+constexpr JsonReader kIn(kPrefix);
 
-const std::string& string_of(const JsonValue& value, const std::string& what) {
-  if (!value.is_string()) fail(what + " must be a string");
-  return value.as_string();
-}
-
-double number_of(const JsonValue& value, const std::string& what) {
-  if (!value.is_number()) fail(what + " must be a number");
-  const double raw = value.as_number();
-  if (!std::isfinite(raw)) fail(what + " must be finite");
-  return raw;
-}
-
-long integer_of(const JsonValue& value, const std::string& what, double lo,
-                double hi) {
-  const double raw = number_of(value, what);
-  if (raw != std::floor(raw) || raw < lo || raw > hi) {
-    fail(what + " must be an integer in [" + JsonWriter::format_double(lo) +
-         ", " + JsonWriter::format_double(hi) + "]");
-  }
-  return static_cast<long>(raw);
-}
+[[noreturn]] void fail(const std::string& message) { kIn.fail(message); }
 
 }  // namespace
 
@@ -237,7 +215,7 @@ std::string describe(const FuzzScenario& s) {
       << to_string(s.config.radio) << " mobility="
       << to_string(s.config.mobility_kind) << " depth="
       << JsonWriter::format_double(s.config.field_depth) << " drain="
-      << drain_model_name(s.config.drain_model) << " quantum="
+      << enum_name(s.config.drain_model) << " quantum="
       << JsonWriter::format_double(s.config.energy_key_quantum) << " events="
       << resolve_schedule(s.faults).size()
       << (s.faults.channel.any() ? " channel=faulty" : "")
@@ -275,35 +253,32 @@ FuzzScenario parse_scenario(std::string_view text) {
   bool have_schema = false;
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "format") {
-      if (string_of(value, "format") != kCorpusFormat) {
+      if (kIn.string_of(value, "format") != kCorpusFormat) {
         fail("format must be \"" + std::string(kCorpusFormat) + "\"");
       }
       have_format = true;
     } else if (key == "schema") {
-      if (integer_of(value, "schema", 1, 1e6) != kCorpusSchemaVersion) {
+      if (kIn.integer_of(value, "schema", 1, 1e6) != kCorpusSchemaVersion) {
         fail("unsupported schema version");
       }
       have_schema = true;
     } else if (key == "id") {
-      s.id = static_cast<std::uint64_t>(integer_of(value, "id", 0, 9e15));
+      s.id = static_cast<std::uint64_t>(kIn.integer_of(value, "id", 0, 9e15));
     } else if (key == "trial_seed") {
-      s.trial_seed =
-          static_cast<std::uint64_t>(integer_of(value, "trial_seed", 0, 9e15));
+      s.trial_seed = static_cast<std::uint64_t>(
+          kIn.integer_of(value, "trial_seed", 0, 9e15));
     } else if (key == "serve_ticks") {
       // Optional (default 0) so pre-serve corpus reproducers keep parsing.
       s.serve_ticks =
-          static_cast<int>(integer_of(value, "serve_ticks", 0, 1e6));
+          static_cast<int>(kIn.integer_of(value, "serve_ticks", 0, 1e6));
     } else if (key == "config") {
       // Shared wire format (sim/config_json), with this module's error
       // prefix so corpus diagnostics read as before.
-      parse_sim_config_json(value, s.config, "fuzz scenario: ");
+      parse_sim_config_json(value, s.config, kPrefix);
     } else if (key == "faults") {
-      // Re-serialize the sub-document and delegate to the fault-plan parser,
-      // so corpus files share exactly its strict schema and range rules.
-      std::ostringstream plan_text;
-      JsonWriter plan_json(plan_text);
-      write_json(plan_json, value);
-      s.faults = parse_fault_plan(plan_text.str());
+      // The fault-plan parser reads the value itself, so corpus files share
+      // exactly its strict schema and range rules.
+      s.faults = parse_fault_plan(value);
     } else {
       fail("unknown top-level key \"" + key + "\"");
     }

@@ -54,18 +54,6 @@ Graph build_rng_graph(const std::vector<Vec2>& positions, double radius) {
   return build_links(positions, radius, LinkModel::kRng);
 }
 
-std::string to_string(LinkModel model) {
-  switch (model) {
-    case LinkModel::kUnitDisk:
-      return "unit-disk";
-    case LinkModel::kGabriel:
-      return "gabriel";
-    case LinkModel::kRng:
-      return "rng";
-  }
-  return "?";
-}
-
 void build_links_into(const std::vector<Vec2>& positions, double radius,
                       LinkModel model, LinkBuilder& builder, Graph& out) {
   switch (model) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/enum_names.hpp"
 #include "core/graph.hpp"
 #include "net/udg.hpp"
 #include "net/vec2.hpp"
@@ -18,7 +19,12 @@ namespace pacds {
 /// Proximity-graph selector for simulation configs.
 enum class LinkModel : std::uint8_t { kUnitDisk, kGabriel, kRng };
 
-[[nodiscard]] std::string to_string(LinkModel model);
+constexpr auto enum_names(LinkModel) {
+  return std::to_array<EnumName<LinkModel>>(
+      {{LinkModel::kUnitDisk, "unit-disk"},
+       {LinkModel::kGabriel, "gabriel"},
+       {LinkModel::kRng, "rng"}});
+}
 
 /// Builds the selected proximity graph over `positions`.
 [[nodiscard]] Graph build_links(const std::vector<Vec2>& positions,

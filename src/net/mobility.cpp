@@ -144,22 +144,6 @@ void GaussMarkovMobility::step(std::vector<Vec2>& positions,
   }
 }
 
-std::string to_string(MobilityKind kind) {
-  switch (kind) {
-    case MobilityKind::kPaperJump:
-      return "paper-jump";
-    case MobilityKind::kRandomWalk:
-      return "random-walk";
-    case MobilityKind::kRandomWaypoint:
-      return "random-waypoint";
-    case MobilityKind::kGaussMarkov:
-      return "gauss-markov";
-    case MobilityKind::kStatic:
-      return "static";
-  }
-  return "?";
-}
-
 std::unique_ptr<MobilityModel> make_mobility(MobilityKind kind,
                                              const MobilityParams& params) {
   switch (kind) {

@@ -8,9 +8,9 @@
 // consumes exactly the RNG stream it always did.
 
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "core/enum_names.hpp"
 #include "net/rng.hpp"
 #include "net/space.hpp"
 #include "net/vec2.hpp"
@@ -24,8 +24,6 @@ class MobilityModel {
 
   virtual void step(std::vector<Vec2>& positions, const Field& field,
                     Xoshiro256& rng) = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// The paper's movement model: with probability `1 - stay_probability` the
@@ -39,7 +37,6 @@ class PaperJumpMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "paper-jump"; }
 
   /// Unit vector of paper direction code 1..8.
   [[nodiscard]] static Vec2 direction(int code);
@@ -58,7 +55,6 @@ class RandomWalkMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "random-walk"; }
 
  private:
   double step_min_;
@@ -74,7 +70,6 @@ class RandomWaypointMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "random-waypoint"; }
 
  private:
   struct HostState {
@@ -102,7 +97,6 @@ class GaussMarkovMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "gauss-markov"; }
 
  private:
   struct HostState {
@@ -123,7 +117,6 @@ class GaussMarkovMobility final : public MobilityModel {
 class StaticMobility final : public MobilityModel {
  public:
   void step(std::vector<Vec2>&, const Field&, Xoshiro256&) override {}
-  [[nodiscard]] std::string name() const override { return "static"; }
 };
 
 /// Mobility model selector for configuration structs.
@@ -135,7 +128,14 @@ enum class MobilityKind : std::uint8_t {
   kStatic,
 };
 
-[[nodiscard]] std::string to_string(MobilityKind kind);
+constexpr auto enum_names(MobilityKind) {
+  return std::to_array<EnumName<MobilityKind>>(
+      {{MobilityKind::kPaperJump, "paper-jump"},
+       {MobilityKind::kRandomWalk, "random-walk"},
+       {MobilityKind::kRandomWaypoint, "random-waypoint"},
+       {MobilityKind::kGaussMarkov, "gauss-markov"},
+       {MobilityKind::kStatic, "static"}});
+}
 
 /// Parameter superset for the factory; each model reads its own fields.
 struct MobilityParams {

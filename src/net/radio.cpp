@@ -37,18 +37,6 @@ constexpr double kArqDropCap = 0.5;
 
 }  // namespace
 
-std::string to_string(RadioKind kind) {
-  switch (kind) {
-    case RadioKind::kUnitDisk:
-      return "unit-disk";
-    case RadioKind::kShadowing:
-      return "shadowing";
-    case RadioKind::kProbabilistic:
-      return "probabilistic";
-  }
-  return "?";
-}
-
 RadioModel::RadioModel(RadioKind kind, const RadioParams& params,
                        double radius)
     : kind_(kind), params_(params), radius_(radius) {

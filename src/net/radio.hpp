@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/enum_names.hpp"
 #include "core/graph.hpp"
 #include "net/udg.hpp"
 #include "net/vec2.hpp"
@@ -31,7 +32,12 @@ enum class RadioKind : std::uint8_t {
   kProbabilistic,  ///< link iff distance <= radius and a per-pair coin lands
 };
 
-[[nodiscard]] std::string to_string(RadioKind kind);
+constexpr auto enum_names(RadioKind) {
+  return std::to_array<EnumName<RadioKind>>(
+      {{RadioKind::kUnitDisk, "unit-disk"},
+       {RadioKind::kShadowing, "shadowing"},
+       {RadioKind::kProbabilistic, "probabilistic"}});
+}
 
 struct RadioParams {
   double sigma_db = 4.0;       ///< shadowing: fade stddev in dB

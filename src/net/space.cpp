@@ -6,18 +6,6 @@
 
 namespace pacds {
 
-std::string to_string(BoundaryPolicy policy) {
-  switch (policy) {
-    case BoundaryPolicy::kClamp:
-      return "clamp";
-    case BoundaryPolicy::kReflect:
-      return "reflect";
-    case BoundaryPolicy::kWrap:
-      return "wrap";
-  }
-  return "?";
-}
-
 Field::Field(double width, double height, BoundaryPolicy policy)
     : Field(width, height, 0.0, policy) {}
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/enum_names.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -19,7 +20,12 @@ namespace pacds {
 /// radio).
 enum class BoundaryPolicy : std::uint8_t { kClamp, kReflect, kWrap };
 
-[[nodiscard]] std::string to_string(BoundaryPolicy policy);
+constexpr auto enum_names(BoundaryPolicy) {
+  return std::to_array<EnumName<BoundaryPolicy>>(
+      {{BoundaryPolicy::kClamp, "clamp"},
+       {BoundaryPolicy::kReflect, "reflect"},
+       {BoundaryPolicy::kWrap, "wrap"}});
+}
 
 /// Axis-aligned field [0, width] x [0, height] (x [0, depth] when 3-D).
 class Field {

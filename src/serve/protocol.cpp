@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "io/json.hpp"
@@ -12,36 +11,9 @@ namespace pacds::serve {
 namespace {
 
 constexpr std::string_view kPrefix = "serve: ";
+constexpr JsonReader kIn(kPrefix);
 
-[[noreturn]] void fail(const std::string& message) {
-  throw std::runtime_error(std::string(kPrefix) + message);
-}
-
-const std::string& string_of(const JsonValue& value, const std::string& what) {
-  if (!value.is_string()) fail(what + " must be a string");
-  return value.as_string();
-}
-
-long integer_of(const JsonValue& value, const std::string& what, double lo,
-                double hi) {
-  if (!value.is_number()) fail(what + " must be a number");
-  const double raw = value.as_number();
-  if (!std::isfinite(raw) || raw != std::floor(raw) || raw < lo || raw > hi) {
-    fail(what + " must be an integer in [" + JsonWriter::format_double(lo) +
-         ", " + JsonWriter::format_double(hi) + "]");
-  }
-  return static_cast<long>(raw);
-}
-
-Op parse_op(const std::string& name) {
-  if (name == "create") return Op::kCreate;
-  if (name == "tick") return Op::kTick;
-  if (name == "status") return Op::kStatus;
-  if (name == "evict") return Op::kEvict;
-  if (name == "sweep") return Op::kSweep;
-  if (name == "shutdown") return Op::kShutdown;
-  fail("unknown op \"" + name + "\"");
-}
+[[noreturn]] void fail(const std::string& message) { kIn.fail(message); }
 
 bool op_takes(Op op, const std::string& key) {
   const bool configured = op == Op::kCreate || op == Op::kSweep;
@@ -54,18 +26,6 @@ bool op_takes(Op op, const std::string& key) {
 }
 
 }  // namespace
-
-const char* to_string(Op op) noexcept {
-  switch (op) {
-    case Op::kCreate: return "create";
-    case Op::kTick: return "tick";
-    case Op::kStatus: return "status";
-    case Op::kEvict: return "evict";
-    case Op::kSweep: return "sweep";
-    case Op::kShutdown: return "shutdown";
-  }
-  return "?";
-}
 
 const char* error_code_name(ErrorCode code) noexcept {
   switch (code) {
@@ -105,49 +65,44 @@ std::optional<Request> parse_request(std::string_view line, std::uint64_t seq,
     if (!doc.is_object()) fail("request must be a JSON object");
     const JsonValue* op_value = doc.find("op");
     if (op_value == nullptr) fail("request needs an \"op\" key");
-    request.op = parse_op(string_of(*op_value, "op"));
+    request.op = kIn.enum_of<Op>(*op_value, "op");
 
     bool have_config = false;
     for (const auto& [key, value] : doc.as_object()) {
       if (key == "op") continue;
       if (!op_takes(request.op, key)) {
-        fail("op \"" + std::string(to_string(request.op)) +
-             "\" does not take key \"" + key + "\"");
+        fail("op \"" + to_string(request.op) + "\" does not take key \"" +
+             key + "\"");
       }
       if (key == "tenant") {
-        request.tenant = string_of(value, "tenant");
+        request.tenant = kIn.string_of(value, "tenant");
         if (!valid_tenant_name(request.tenant)) {
           fail("tenant must be 1-64 chars of [A-Za-z0-9._-]");
         }
       } else if (key == "config") {
-        parse_sim_config_json(value, request.config, std::string(kPrefix));
+        parse_sim_config_json(value, request.config, kPrefix);
         have_config = true;
       } else if (key == "seed") {
         request.seed = static_cast<std::uint64_t>(
-            integer_of(value, "seed", 0, 9e15));
+            kIn.integer_of(value, "seed", 0, 9e15));
       } else if (key == "trials") {
-        request.trials = integer_of(value, "trials", 1, 1e6);
+        request.trials = kIn.integer_of(value, "trials", 1, 1e6);
       } else if (key == "faults") {
-        // Re-serialize the sub-document and delegate to the fault-plan
-        // parser so serve shares its strict schema and range rules exactly.
-        std::ostringstream plan_text;
-        JsonWriter plan_json(plan_text);
-        write_json(plan_json, value);
-        request.faults = parse_fault_plan(plan_text.str());
+        // The fault-plan parser reads the value itself, so serve shares its
+        // strict schema and range rules exactly.
+        request.faults = parse_fault_plan(value);
         request.has_faults = true;
       } else if (key == "intervals") {
-        request.intervals = integer_of(value, "intervals", 0, 1e9);
+        request.intervals = kIn.integer_of(value, "intervals", 0, 1e9);
       }
     }
 
     if (request.op != Op::kShutdown && request.tenant.empty()) {
-      fail("op \"" + std::string(to_string(request.op)) +
-           "\" needs a \"tenant\" key");
+      fail("op \"" + to_string(request.op) + "\" needs a \"tenant\" key");
     }
     if ((request.op == Op::kCreate || request.op == Op::kSweep) &&
         !have_config) {
-      fail("op \"" + std::string(to_string(request.op)) +
-           "\" needs a \"config\" key");
+      fail("op \"" + to_string(request.op) + "\" needs a \"config\" key");
     }
     if (request.has_faults) {
       validate_fault_plan(request.faults, request.config.n_hosts);

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/enum_names.hpp"
 #include "obs/jsonl.hpp"
 #include "sim/faults.hpp"
 #include "sim/lifetime.hpp"
@@ -50,6 +51,16 @@ enum class Op : std::uint8_t {
   kShutdown,
 };
 
+/// The request's "op" values.
+constexpr auto enum_names(Op) {
+  return std::to_array<EnumName<Op>>({{Op::kCreate, "create"},
+                                      {Op::kTick, "tick"},
+                                      {Op::kStatus, "status"},
+                                      {Op::kEvict, "evict"},
+                                      {Op::kSweep, "sweep"},
+                                      {Op::kShutdown, "shutdown"}});
+}
+
 /// Error taxonomy (DESIGN.md §12). Every rejected request names exactly one.
 enum class ErrorCode : std::uint8_t {
   kParse,         ///< line is not one well-formed JSON object
@@ -60,7 +71,6 @@ enum class ErrorCode : std::uint8_t {
   kShutdown,      ///< received after a shutdown request was processed
 };
 
-[[nodiscard]] const char* to_string(Op op) noexcept;
 [[nodiscard]] const char* error_code_name(ErrorCode code) noexcept;
 
 /// One parsed request. `seq` is server-assigned (the 1-based input line

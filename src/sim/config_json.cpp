@@ -1,8 +1,9 @@
 #include "sim/config_json.hpp"
 
-#include <cmath>
+#include <concepts>
 #include <cstdint>
-#include <stdexcept>
+#include <optional>
+#include <type_traits>
 
 #include "io/json.hpp"
 #include "io/json_parse.hpp"
@@ -10,207 +11,158 @@
 namespace pacds {
 namespace {
 
-[[noreturn]] void fail(const std::string& prefix, const std::string& message) {
-  throw std::runtime_error(prefix + message);
+/// Inclusive bounds of an integer wire key (unused for other kinds).
+struct Range {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// `T` is `U` or `const U`: one field list serves the parser, which fills a
+/// mutable struct, and the writer, which reads a const one.
+template <typename T, typename U>
+concept ConstOr = std::same_as<std::remove_const_t<T>, U>;
+
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+// The wire schema. Each list names every key of one JSON object once, in
+// the order the writer emits it, with the member it maps to and, for
+// integers, the range the parser accepts. parse_sim_config_json and
+// write_sim_config_json both walk these lists, so a key can be neither
+// written without being parsed nor parsed without being written. Every key
+// is optional on input: older corpus entries predate most of them (3-D
+// fields, radios, drain shapes, mobility models, the (2,2) backbone,
+// tiles), and an absent key keeps the caller's value.
+
+template <ConstOr<RadioParams> P, typename Visit>
+void fields(P& p, Visit&& visit) {
+  visit("sigma_db", p.sigma_db);
+  visit("path_loss_exp", p.path_loss_exp);
+  visit("link_prob", p.link_prob);
+  visit("fading_seed", p.fading_seed, Range{0, kMaxExactJsonInteger});
 }
 
-DrainModel parse_drain(const std::string& prefix, const std::string& name) {
-  if (name == "constant") return DrainModel::kConstantTotal;
-  if (name == "linear") return DrainModel::kLinearTotal;
-  if (name == "quadratic") return DrainModel::kQuadraticTotal;
-  fail(prefix, "unknown drain model \"" + name + "\"");
+template <ConstOr<DrainParams> P, typename Visit>
+void fields(P& p, Visit&& visit) {
+  visit("nongateway_drain", p.nongateway_drain);
+  visit("constant_base", p.constant_base);
+  visit("quadratic_divisor", p.quadratic_divisor);
 }
 
-BoundaryPolicy parse_boundary(const std::string& prefix,
-                              const std::string& name) {
-  if (name == "clamp") return BoundaryPolicy::kClamp;
-  if (name == "reflect") return BoundaryPolicy::kReflect;
-  if (name == "wrap") return BoundaryPolicy::kWrap;
-  fail(prefix, "unknown boundary policy \"" + name + "\"");
+template <ConstOr<MobilityParams> P, typename Visit>
+void fields(P& p, Visit&& visit) {
+  visit("stay_probability", p.stay_probability);
+  visit("jump_min", p.jump_min, Range{0, 1e6});
+  visit("jump_max", p.jump_max, Range{0, 1e6});
+  visit("step_min", p.step_min);
+  visit("step_max", p.step_max);
+  visit("speed_min", p.speed_min);
+  visit("speed_max", p.speed_max);
+  visit("pause_intervals", p.pause_intervals, Range{0, 1e6});
+  visit("mean_speed", p.mean_speed);
+  visit("alpha", p.alpha);
+  visit("speed_stddev", p.speed_stddev);
+  visit("heading_stddev", p.heading_stddev);
 }
 
-LinkModel parse_link(const std::string& prefix, const std::string& name) {
-  if (name == "unit-disk") return LinkModel::kUnitDisk;
-  if (name == "gabriel") return LinkModel::kGabriel;
-  if (name == "rng") return LinkModel::kRng;
-  fail(prefix, "unknown link model \"" + name + "\"");
+template <ConstOr<SimConfig> C, typename Visit>
+void fields(C& c, Visit&& visit) {
+  visit("n", c.n_hosts, Range{1, 1e6});
+  visit("field_width", c.field_width);
+  visit("field_height", c.field_height);
+  visit("field_depth", c.field_depth);  // 0 = planar
+  visit("boundary", c.boundary);
+  visit("radius", c.radius);
+  visit("link_model", c.link_model);
+  visit("radio", c.radio);
+  visit("radio_params", c.radio_params);
+  visit("initial_energy", c.initial_energy);
+  visit("drain_model", c.drain_model);
+  visit("drain_params", c.drain_params);
+  visit("stay_probability", c.stay_probability);
+  visit("jump_min", c.jump_min, Range{0, 1e6});
+  visit("jump_max", c.jump_max, Range{0, 1e6});
+  // Once missing from the wire: every non-default mobility model then
+  // round-tripped back to paper-jump, so serve tenants and replayed
+  // scenarios simulated a different trajectory family than requested.
+  visit("mobility", c.mobility_kind);
+  visit("mobility_params", c.mobility_params);
+  visit("scheme", c.rule_set);
+  visit("strategy", c.cds_options.strategy);
+  visit("clique_policy", c.cds_options.clique_policy);
+  visit("custom_key", c.custom_key);  // null = unset
+  visit("custom_rule2_form", c.custom_rule2_form);
+  visit("use_rule_k", c.use_rule_k);
+  visit("quantum", c.energy_key_quantum);
+  visit("stability_beta", c.stability_beta);
+  visit("stability_quantum", c.stability_quantum);
+  visit("engine", c.engine);
+  visit("backbone", c.backbone);
+  // Requested tile count, 0 = auto. The TileGrid clamps, so any value is
+  // safe.
+  visit("tiles", c.tiles, Range{0, 1e6});
+  visit("threads", c.threads, Range{0, 256});
+  visit("max_intervals", c.max_intervals, Range{1, 1e9});
+  visit("connect_retries", c.connect_retries, Range{1, 1e6});
 }
 
-RuleSet parse_scheme(const std::string& prefix, const std::string& name) {
-  if (name == "NR") return RuleSet::kNR;
-  if (name == "ID") return RuleSet::kID;
-  if (name == "ND") return RuleSet::kND;
-  if (name == "EL1") return RuleSet::kEL1;
-  if (name == "EL2") return RuleSet::kEL2;
-  if (name == "SEL") return RuleSet::kSEL;
-  fail(prefix, "unknown scheme \"" + name + "\"");
-}
-
-MobilityKind parse_mobility(const std::string& prefix,
-                            const std::string& name) {
-  if (name == "paper-jump") return MobilityKind::kPaperJump;
-  if (name == "random-walk") return MobilityKind::kRandomWalk;
-  if (name == "random-waypoint") return MobilityKind::kRandomWaypoint;
-  if (name == "gauss-markov") return MobilityKind::kGaussMarkov;
-  if (name == "static") return MobilityKind::kStatic;
-  fail(prefix, "unknown mobility model \"" + name + "\"");
-}
-
-RadioKind parse_radio(const std::string& prefix, const std::string& name) {
-  if (name == "unit-disk") return RadioKind::kUnitDisk;
-  if (name == "shadowing") return RadioKind::kShadowing;
-  if (name == "probabilistic") return RadioKind::kProbabilistic;
-  fail(prefix, "unknown radio \"" + name + "\"");
-}
-
-CliquePolicy parse_clique(const std::string& prefix, const std::string& name) {
-  if (name == "none") return CliquePolicy::kNone;
-  if (name == "elect-max-key") return CliquePolicy::kElectMaxKey;
-  fail(prefix, "unknown clique policy \"" + name + "\"");
-}
-
-KeyKind parse_key_kind(const std::string& prefix, const std::string& name) {
-  if (name == "ID") return KeyKind::kId;
-  if (name == "ND") return KeyKind::kDegreeId;
-  if (name == "EL1") return KeyKind::kEnergyId;
-  if (name == "EL2") return KeyKind::kEnergyDegreeId;
-  if (name == "SEL") return KeyKind::kStabilityEnergyId;
-  fail(prefix, "unknown key kind \"" + name + "\"");
-}
-
-Rule2Form parse_rule2_form(const std::string& prefix,
-                           const std::string& name) {
-  if (name == "simple") return Rule2Form::kSimple;
-  if (name == "refined") return Rule2Form::kRefined;
-  fail(prefix, "unknown rule2 form \"" + name + "\"");
-}
-
-Strategy parse_strategy(const std::string& prefix, const std::string& name) {
-  if (name == "sequential") return Strategy::kSequential;
-  if (name == "simultaneous") return Strategy::kSimultaneous;
-  if (name == "verified") return Strategy::kVerified;
-  fail(prefix, "unknown strategy \"" + name + "\"");
-}
-
-BackboneMode parse_backbone(const std::string& prefix,
-                            const std::string& name) {
-  if (name == "scheme") return BackboneMode::kScheme;
-  if (name == "cds22") return BackboneMode::kCds22;
-  fail(prefix, "unknown backbone \"" + name + "\"");
-}
-
-SimEngine parse_engine(const std::string& prefix, const std::string& name) {
-  if (name == "auto") return SimEngine::kAuto;
-  if (name == "full") return SimEngine::kFullRebuild;
-  if (name == "incremental") return SimEngine::kIncremental;
-  if (name == "tiled") return SimEngine::kTiled;
-  fail(prefix, "unknown engine \"" + name + "\"");
-}
-
-const std::string& string_of(const std::string& prefix, const JsonValue& value,
-                             const std::string& what) {
-  if (!value.is_string()) fail(prefix, what + " must be a string");
-  return value.as_string();
-}
-
-double number_of(const std::string& prefix, const JsonValue& value,
-                 const std::string& what) {
-  if (!value.is_number()) fail(prefix, what + " must be a number");
-  const double raw = value.as_number();
-  if (!std::isfinite(raw)) fail(prefix, what + " must be finite");
-  return raw;
-}
-
-long integer_of(const std::string& prefix, const JsonValue& value,
-                const std::string& what, double lo, double hi) {
-  const double raw = number_of(prefix, value, what);
-  if (raw != std::floor(raw) || raw < lo || raw > hi) {
-    fail(prefix, what + " must be an integer in [" +
-                     JsonWriter::format_double(lo) + ", " +
-                     JsonWriter::format_double(hi) + "]");
-  }
-  return static_cast<long>(raw);
-}
-
-bool bool_of(const std::string& prefix, const JsonValue& value,
-             const std::string& what) {
-  if (!value.is_bool()) fail(prefix, what + " must be a boolean");
-  return value.as_bool();
-}
-
-// The 2^53 ceiling keeps integer-valued doubles exact, so a seed survives
-// the JSON round trip bit-for-bit.
-constexpr double kMaxExactSeed = 9007199254740992.0;
-
-void parse_mobility_params(const std::string& prefix, const JsonValue& value,
-                           MobilityParams& params) {
-  if (!value.is_object()) fail(prefix, "config.mobility_params must be an object");
-  for (const auto& [key, member] : value.as_object()) {
-    const std::string what = "config.mobility_params." + key;
-    if (key == "stay_probability") {
-      params.stay_probability = number_of(prefix, member, what);
-    } else if (key == "jump_min") {
-      params.jump_min = static_cast<int>(integer_of(prefix, member, what, 0, 1e6));
-    } else if (key == "jump_max") {
-      params.jump_max = static_cast<int>(integer_of(prefix, member, what, 0, 1e6));
-    } else if (key == "step_min") {
-      params.step_min = number_of(prefix, member, what);
-    } else if (key == "step_max") {
-      params.step_max = number_of(prefix, member, what);
-    } else if (key == "speed_min") {
-      params.speed_min = number_of(prefix, member, what);
-    } else if (key == "speed_max") {
-      params.speed_max = number_of(prefix, member, what);
-    } else if (key == "pause_intervals") {
-      params.pause_intervals =
-          static_cast<int>(integer_of(prefix, member, what, 0, 1e6));
-    } else if (key == "mean_speed") {
-      params.mean_speed = number_of(prefix, member, what);
-    } else if (key == "alpha") {
-      params.alpha = number_of(prefix, member, what);
-    } else if (key == "speed_stddev") {
-      params.speed_stddev = number_of(prefix, member, what);
-    } else if (key == "heading_stddev") {
-      params.heading_stddev = number_of(prefix, member, what);
+/// Writes `field` as a JSON value; a struct becomes an object of its list.
+template <typename T>
+void write_value(JsonWriter& json, const T& field) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double>) {
+    json.value(field);
+  } else if constexpr (std::is_enum_v<T>) {
+    json.value(std::string(enum_name(field)));
+  } else if constexpr (std::is_unsigned_v<T>) {
+    json.value(static_cast<std::size_t>(field));
+  } else if constexpr (std::is_integral_v<T>) {
+    json.value(static_cast<std::int64_t>(field));
+  } else if constexpr (kIsOptional<T>) {
+    if (field.has_value()) {
+      write_value(json, *field);
     } else {
-      fail(prefix, "config.mobility_params: unknown key \"" + key + "\"");
+      json.null();
     }
+  } else {
+    json.begin_object();
+    fields(field, [&json](const char* key, const auto& member, Range = {}) {
+      json.key(key);
+      write_value(json, member);
+    });
+    json.end_object();
   }
 }
 
-void parse_radio_params(const std::string& prefix, const JsonValue& value,
-                        RadioParams& params) {
-  if (!value.is_object()) fail(prefix, "config.radio_params must be an object");
-  for (const auto& [key, member] : value.as_object()) {
-    const std::string what = "config.radio_params." + key;
-    if (key == "sigma_db") {
-      params.sigma_db = number_of(prefix, member, what);
-    } else if (key == "path_loss_exp") {
-      params.path_loss_exp = number_of(prefix, member, what);
-    } else if (key == "link_prob") {
-      params.link_prob = number_of(prefix, member, what);
-    } else if (key == "fading_seed") {
-      params.fading_seed = static_cast<std::uint64_t>(
-          integer_of(prefix, member, what, 0, kMaxExactSeed));
+/// Reads `value` into `field`; `what` names it in errors ("config.n").
+template <typename T>
+void read_value(const JsonReader& in, const JsonValue& value,
+                const std::string& what, T& field, Range range = {}) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = in.bool_of(value, what);
+  } else if constexpr (std::is_same_v<T, double>) {
+    field = in.number_of(value, what);
+  } else if constexpr (std::is_enum_v<T>) {
+    field = in.enum_of<T>(value, what);
+  } else if constexpr (std::is_integral_v<T>) {
+    field = static_cast<T>(in.integer_of(value, what, range.lo, range.hi));
+  } else if constexpr (kIsOptional<T>) {
+    if (value.is_null()) {
+      field.reset();
     } else {
-      fail(prefix, "config.radio_params: unknown key \"" + key + "\"");
+      read_value(in, value, what, field.emplace(), range);
     }
-  }
-}
-
-void parse_drain_params(const std::string& prefix, const JsonValue& value,
-                        DrainParams& params) {
-  if (!value.is_object()) fail(prefix, "config.drain_params must be an object");
-  for (const auto& [key, member] : value.as_object()) {
-    const std::string what = "config.drain_params." + key;
-    if (key == "nongateway_drain") {
-      params.nongateway_drain = number_of(prefix, member, what);
-    } else if (key == "constant_base") {
-      params.constant_base = number_of(prefix, member, what);
-    } else if (key == "quadratic_divisor") {
-      params.quadratic_divisor = number_of(prefix, member, what);
-    } else {
-      fail(prefix, "config.drain_params: unknown key \"" + key + "\"");
+  } else {
+    if (!value.is_object()) in.fail(what + " must be an object");
+    for (const auto& [key, member] : value.as_object()) {
+      bool known = false;
+      fields(field, [&](const char* name, auto& target, Range bounds = {}) {
+        if (known || key != name) return;
+        known = true;
+        read_value(in, member, what + "." + key, target, bounds);
+      });
+      if (!known) in.fail(what + ": unknown key \"" + key + "\"");
     }
   }
 }
@@ -218,243 +170,58 @@ void parse_drain_params(const std::string& prefix, const JsonValue& value,
 }  // namespace
 
 void parse_sim_config_json(const JsonValue& value, SimConfig& config,
-                           const std::string& prefix) {
-  if (!value.is_object()) fail(prefix, "config must be an object");
-  for (const auto& [key, member] : value.as_object()) {
-    if (key == "n") {
-      config.n_hosts =
-          static_cast<int>(integer_of(prefix, member, "config.n", 1, 1e6));
-    } else if (key == "field_width") {
-      config.field_width = number_of(prefix, member, "config.field_width");
-    } else if (key == "field_height") {
-      config.field_height = number_of(prefix, member, "config.field_height");
-    } else if (key == "field_depth") {
-      // Optional (older corpus entries predate 3-D fields); 0 = planar.
-      config.field_depth = number_of(prefix, member, "config.field_depth");
-    } else if (key == "boundary") {
-      config.boundary = parse_boundary(
-          prefix, string_of(prefix, member, "config.boundary"));
-    } else if (key == "radius") {
-      config.radius = number_of(prefix, member, "config.radius");
-    } else if (key == "link_model") {
-      config.link_model =
-          parse_link(prefix, string_of(prefix, member, "config.link_model"));
-    } else if (key == "radio") {
-      // Optional (older corpus entries predate radio models).
-      config.radio =
-          parse_radio(prefix, string_of(prefix, member, "config.radio"));
-    } else if (key == "radio_params") {
-      parse_radio_params(prefix, member, config.radio_params);
-    } else if (key == "initial_energy") {
-      config.initial_energy =
-          number_of(prefix, member, "config.initial_energy");
-    } else if (key == "drain_model") {
-      config.drain_model = parse_drain(
-          prefix, string_of(prefix, member, "config.drain_model"));
-    } else if (key == "drain_params") {
-      // Optional: the drain shape knobs always defaulted on the wire before.
-      parse_drain_params(prefix, member, config.drain_params);
-    } else if (key == "stay_probability") {
-      config.stay_probability =
-          number_of(prefix, member, "config.stay_probability");
-    } else if (key == "jump_min") {
-      config.jump_min = static_cast<int>(
-          integer_of(prefix, member, "config.jump_min", 0, 1e6));
-    } else if (key == "jump_max") {
-      config.jump_max = static_cast<int>(
-          integer_of(prefix, member, "config.jump_max", 0, 1e6));
-    } else if (key == "mobility") {
-      // Optional, and THE bug this key's absence used to cause: without it
-      // every non-default mobility model silently round-tripped back to
-      // paper-jump, so serve tenants and replayed scenarios simulated a
-      // different trajectory family than the one requested.
-      config.mobility_kind = parse_mobility(
-          prefix, string_of(prefix, member, "config.mobility"));
-    } else if (key == "mobility_params") {
-      parse_mobility_params(prefix, member, config.mobility_params);
-    } else if (key == "scheme") {
-      config.rule_set =
-          parse_scheme(prefix, string_of(prefix, member, "config.scheme"));
-    } else if (key == "strategy") {
-      config.cds_options.strategy = parse_strategy(
-          prefix, string_of(prefix, member, "config.strategy"));
-    } else if (key == "clique_policy") {
-      // Optional (defaulted silently before; another dropped-on-the-wire
-      // field the exhaustive round-trip test now pins).
-      config.cds_options.clique_policy = parse_clique(
-          prefix, string_of(prefix, member, "config.clique_policy"));
-    } else if (key == "custom_key") {
-      if (member.is_null()) {
-        config.custom_key.reset();
-      } else {
-        config.custom_key = parse_key_kind(
-            prefix, string_of(prefix, member, "config.custom_key"));
-      }
-    } else if (key == "custom_rule2_form") {
-      config.custom_rule2_form = parse_rule2_form(
-          prefix, string_of(prefix, member, "config.custom_rule2_form"));
-    } else if (key == "use_rule_k") {
-      config.use_rule_k = bool_of(prefix, member, "config.use_rule_k");
-    } else if (key == "quantum") {
-      config.energy_key_quantum =
-          number_of(prefix, member, "config.quantum");
-    } else if (key == "stability_beta") {
-      config.stability_beta =
-          number_of(prefix, member, "config.stability_beta");
-    } else if (key == "stability_quantum") {
-      config.stability_quantum =
-          number_of(prefix, member, "config.stability_quantum");
-    } else if (key == "engine") {
-      config.engine =
-          parse_engine(prefix, string_of(prefix, member, "config.engine"));
-    } else if (key == "backbone") {
-      // Optional (older corpus entries predate the (2,2) backbone).
-      config.backbone = parse_backbone(
-          prefix, string_of(prefix, member, "config.backbone"));
-    } else if (key == "tiles") {
-      // Optional (older corpus entries predate the tiled engine): requested
-      // tile count, 0 = auto. The TileGrid clamps, so any value is safe.
-      config.tiles = static_cast<int>(
-          integer_of(prefix, member, "config.tiles", 0, 1e6));
-    } else if (key == "threads") {
-      config.threads = static_cast<int>(
-          integer_of(prefix, member, "config.threads", 0, 256));
-    } else if (key == "max_intervals") {
-      config.max_intervals =
-          integer_of(prefix, member, "config.max_intervals", 1, 1e9);
-    } else if (key == "connect_retries") {
-      config.connect_retries = static_cast<int>(
-          integer_of(prefix, member, "config.connect_retries", 1, 1e6));
-    } else {
-      fail(prefix, "config: unknown key \"" + key + "\"");
-    }
-  }
-  if (!(config.radius > 0.0)) fail(prefix, "config.radius must be > 0");
+                           std::string_view prefix) {
+  const JsonReader in(prefix);
+  read_value(in, value, "config", config);
+  if (!(config.radius > 0.0)) in.fail("config.radius must be > 0");
   if (!(config.field_width > 0.0) || !(config.field_height > 0.0)) {
-    fail(prefix, "config field dimensions must be > 0");
+    in.fail("config field dimensions must be > 0");
   }
   if (!(config.initial_energy > 0.0)) {
-    fail(prefix, "config.initial_energy must be > 0");
+    in.fail("config.initial_energy must be > 0");
   }
   if (!(config.stay_probability >= 0.0) || config.stay_probability > 1.0) {
-    fail(prefix, "config.stay_probability must be in [0, 1]");
+    in.fail("config.stay_probability must be in [0, 1]");
   }
   if (config.jump_max < config.jump_min) {
-    fail(prefix, "config.jump_max must be >= config.jump_min");
+    in.fail("config.jump_max must be >= config.jump_min");
   }
   if (config.energy_key_quantum < 0.0) {
-    fail(prefix, "config.quantum must be >= 0");
+    in.fail("config.quantum must be >= 0");
   }
   if (config.field_depth < 0.0) {
-    fail(prefix, "config.field_depth must be >= 0");
+    in.fail("config.field_depth must be >= 0");
   }
   if (config.radio != RadioKind::kUnitDisk &&
       config.link_model != LinkModel::kUnitDisk) {
-    fail(prefix,
-         "config.radio other than unit-disk requires link_model unit-disk");
+    in.fail("config.radio other than unit-disk requires link_model unit-disk");
   }
   if (config.radio_params.sigma_db < 0.0) {
-    fail(prefix, "config.radio_params.sigma_db must be >= 0");
+    in.fail("config.radio_params.sigma_db must be >= 0");
   }
   if (!(config.radio_params.path_loss_exp > 0.0)) {
-    fail(prefix, "config.radio_params.path_loss_exp must be > 0");
+    in.fail("config.radio_params.path_loss_exp must be > 0");
   }
   if (config.radio_params.link_prob < 0.0 ||
       config.radio_params.link_prob > 1.0) {
-    fail(prefix, "config.radio_params.link_prob must be in [0, 1]");
+    in.fail("config.radio_params.link_prob must be in [0, 1]");
   }
   if (config.stability_beta < 0.0 || config.stability_beta > 1.0) {
-    fail(prefix, "config.stability_beta must be in [0, 1]");
+    in.fail("config.stability_beta must be in [0, 1]");
   }
   if (config.mobility_params.jump_max < config.mobility_params.jump_min) {
-    fail(prefix,
-         "config.mobility_params.jump_max must be >= "
-         "config.mobility_params.jump_min");
+    in.fail(
+        "config.mobility_params.jump_max must be >= "
+        "config.mobility_params.jump_min");
   }
   if (config.mobility_params.stay_probability < 0.0 ||
       config.mobility_params.stay_probability > 1.0) {
-    fail(prefix, "config.mobility_params.stay_probability must be in [0, 1]");
+    in.fail("config.mobility_params.stay_probability must be in [0, 1]");
   }
 }
 
 void write_sim_config_json(JsonWriter& json, const SimConfig& config) {
-  json.begin_object();
-  json.key("n").value(config.n_hosts);
-  json.key("field_width").value(config.field_width);
-  json.key("field_height").value(config.field_height);
-  json.key("field_depth").value(config.field_depth);
-  json.key("boundary").value(to_string(config.boundary));
-  json.key("radius").value(config.radius);
-  json.key("link_model").value(to_string(config.link_model));
-  json.key("radio").value(to_string(config.radio));
-  json.key("radio_params").begin_object();
-  json.key("sigma_db").value(config.radio_params.sigma_db);
-  json.key("path_loss_exp").value(config.radio_params.path_loss_exp);
-  json.key("link_prob").value(config.radio_params.link_prob);
-  json.key("fading_seed")
-      .value(static_cast<std::size_t>(config.radio_params.fading_seed));
-  json.end_object();
-  json.key("initial_energy").value(config.initial_energy);
-  json.key("drain_model").value(drain_model_name(config.drain_model));
-  json.key("drain_params").begin_object();
-  json.key("nongateway_drain").value(config.drain_params.nongateway_drain);
-  json.key("constant_base").value(config.drain_params.constant_base);
-  json.key("quadratic_divisor").value(config.drain_params.quadratic_divisor);
-  json.end_object();
-  json.key("stay_probability").value(config.stay_probability);
-  json.key("jump_min").value(config.jump_min);
-  json.key("jump_max").value(config.jump_max);
-  json.key("mobility").value(to_string(config.mobility_kind));
-  json.key("mobility_params").begin_object();
-  json.key("stay_probability").value(config.mobility_params.stay_probability);
-  json.key("jump_min").value(config.mobility_params.jump_min);
-  json.key("jump_max").value(config.mobility_params.jump_max);
-  json.key("step_min").value(config.mobility_params.step_min);
-  json.key("step_max").value(config.mobility_params.step_max);
-  json.key("speed_min").value(config.mobility_params.speed_min);
-  json.key("speed_max").value(config.mobility_params.speed_max);
-  json.key("pause_intervals").value(config.mobility_params.pause_intervals);
-  json.key("mean_speed").value(config.mobility_params.mean_speed);
-  json.key("alpha").value(config.mobility_params.alpha);
-  json.key("speed_stddev").value(config.mobility_params.speed_stddev);
-  json.key("heading_stddev").value(config.mobility_params.heading_stddev);
-  json.end_object();
-  json.key("scheme").value(to_string(config.rule_set));
-  json.key("strategy").value(to_string(config.cds_options.strategy));
-  json.key("clique_policy")
-      .value(config.cds_options.clique_policy == CliquePolicy::kElectMaxKey
-                 ? "elect-max-key"
-                 : "none");
-  if (config.custom_key.has_value()) {
-    json.key("custom_key").value(to_string(*config.custom_key));
-  } else {
-    json.key("custom_key").null();
-  }
-  json.key("custom_rule2_form").value(to_string(config.custom_rule2_form));
-  json.key("use_rule_k").value(config.use_rule_k);
-  json.key("quantum").value(config.energy_key_quantum);
-  json.key("stability_beta").value(config.stability_beta);
-  json.key("stability_quantum").value(config.stability_quantum);
-  json.key("engine").value(to_string(config.engine));
-  json.key("backbone").value(to_string(config.backbone));
-  json.key("tiles").value(config.tiles);
-  json.key("threads").value(config.threads);
-  json.key("max_intervals")
-      .value(static_cast<std::int64_t>(config.max_intervals));
-  json.key("connect_retries").value(config.connect_retries);
-  json.end_object();
-}
-
-const char* drain_model_name(DrainModel model) noexcept {
-  switch (model) {
-    case DrainModel::kConstantTotal:
-      return "constant";
-    case DrainModel::kLinearTotal:
-      return "linear";
-    case DrainModel::kQuadraticTotal:
-      return "quadratic";
-  }
-  return "?";
+  write_value(json, config);
 }
 
 }  // namespace pacds

@@ -6,7 +6,7 @@
 // throw — both consumers promise that a config that parses is one the
 // simulator will accept, and neither tolerates silent key drops.
 
-#include <string>
+#include <string_view>
 
 #include "sim/lifetime.hpp"
 
@@ -20,14 +20,13 @@ class JsonWriter;
 /// SimConfig the caller passes in). Throws std::runtime_error with
 /// `error_prefix` prepended — e.g. "fuzz scenario: config.n must be ...".
 void parse_sim_config_json(const JsonValue& value, SimConfig& config,
-                           const std::string& error_prefix);
+                           std::string_view error_prefix);
 
 /// Writes the config object parse_sim_config_json accepts, every key
 /// explicit, in the pinned corpus order. Exact round trip: parsing the
-/// output reproduces the trial-relevant fields bit for bit.
+/// output reproduces the trial-relevant fields bit for bit. Enums are
+/// written by their name tables (enum_name), so DrainModel goes out by its
+/// wire name, not by its display label.
 void write_sim_config_json(JsonWriter& json, const SimConfig& config);
-
-/// Stable wire name of a drain model ("constant" / "linear" / "quadratic").
-[[nodiscard]] const char* drain_model_name(DrainModel model) noexcept;
 
 }  // namespace pacds

@@ -21,30 +21,6 @@ void make_interval_pool(int threads, std::optional<ThreadPool>& pool) {
   if (lanes > 1) pool.emplace(lanes - 1);
 }
 
-std::string to_string(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kAuto:
-      return "auto";
-    case SimEngine::kFullRebuild:
-      return "full";
-    case SimEngine::kIncremental:
-      return "incremental";
-    case SimEngine::kTiled:
-      return "tiled";
-  }
-  return "?";
-}
-
-std::string to_string(BackboneMode mode) {
-  switch (mode) {
-    case BackboneMode::kScheme:
-      return "scheme";
-    case BackboneMode::kCds22:
-      return "cds22";
-  }
-  return "?";
-}
-
 const std::vector<double>& quantize_key_levels(
     const std::vector<double>& levels, double quantum,
     std::vector<double>& scratch) {

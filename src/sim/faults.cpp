@@ -14,17 +14,12 @@ namespace pacds {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& message) {
-  throw std::runtime_error("fault plan: " + message);
-}
+constexpr JsonReader kIn("fault plan: ");
 
-double number_of(const JsonValue& value, const std::string& what) {
-  if (!value.is_number()) fail(what + " must be a number");
-  return value.as_number();
-}
+[[noreturn]] void fail(const std::string& message) { kIn.fail(message); }
 
 long interval_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
+  const double raw = kIn.number_of(value, what);
   if (raw != std::floor(raw) || raw < 1.0 || raw > 1e15) {
     fail(what + " must be an integer interval >= 1");
   }
@@ -34,7 +29,7 @@ long interval_of(const JsonValue& value, const std::string& what) {
 /// recover_at / until: 0 (never) or a later interval; the "> at" half is
 /// checked by the caller once both ends are known.
 long end_interval_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
+  const double raw = kIn.number_of(value, what);
   if (raw != std::floor(raw) || raw < 0.0 || raw > 1e15) {
     fail(what + " must be 0 or an integer interval");
   }
@@ -42,7 +37,7 @@ long end_interval_of(const JsonValue& value, const std::string& what) {
 }
 
 int node_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
+  const double raw = kIn.number_of(value, what);
   if (raw != std::floor(raw) || raw < 0.0 || raw > 1e9) {
     fail(what + " must be a non-negative integer host id");
   }
@@ -50,13 +45,13 @@ int node_of(const JsonValue& value, const std::string& what) {
 }
 
 double rate_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
+  const double raw = kIn.number_of(value, what);
   if (!(raw >= 0.0) || raw >= 1.0) fail(what + " must be in [0, 1)");
   return raw;
 }
 
 int positive_int_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
+  const double raw = kIn.number_of(value, what);
   if (raw != std::floor(raw) || raw < 1.0 || raw > 1e9) {
     fail(what + " must be an integer >= 1");
   }
@@ -104,7 +99,7 @@ TheftSpec parse_theft(const JsonValue& value, std::size_t index) {
       spec.at = interval_of(member, at + ".at");
       have_at = true;
     } else if (key == "amount") {
-      spec.amount = number_of(member, at + ".amount");
+      spec.amount = kIn.number_of(member, at + ".amount");
       have_amount = true;
     } else {
       fail(at + ": unknown key \"" + key + "\"");
@@ -124,16 +119,16 @@ BlackoutSpec parse_blackout(const JsonValue& value, std::size_t index) {
   bool have[5] = {false, false, false, false, false};  // x0 y0 x1 y1 at
   for (const auto& [key, member] : value.as_object()) {
     if (key == "x0") {
-      spec.x0 = number_of(member, at + ".x0");
+      spec.x0 = kIn.number_of(member, at + ".x0");
       have[0] = true;
     } else if (key == "y0") {
-      spec.y0 = number_of(member, at + ".y0");
+      spec.y0 = kIn.number_of(member, at + ".y0");
       have[1] = true;
     } else if (key == "x1") {
-      spec.x1 = number_of(member, at + ".x1");
+      spec.x1 = kIn.number_of(member, at + ".x1");
       have[2] = true;
     } else if (key == "y1") {
-      spec.y1 = number_of(member, at + ".y1");
+      spec.y1 = kIn.number_of(member, at + ".y1");
       have[3] = true;
     } else if (key == "at") {
       spec.at = interval_of(member, at + ".at");
@@ -182,17 +177,13 @@ void parse_channel(const JsonValue& value, FaultPlan& plan) {
 
 }  // namespace
 
-FaultPlan parse_fault_plan(std::string_view text) {
-  const JsonValue doc = parse_json(text);
+FaultPlan parse_fault_plan(const JsonValue& doc) {
   if (!doc.is_object()) fail("document must be a JSON object");
   FaultPlan plan;
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "seed") {
-      const double raw = number_of(value, "seed");
-      if (raw != std::floor(raw) || raw < 0.0) {
-        fail("seed must be a non-negative integer");
-      }
-      plan.seed = static_cast<std::uint64_t>(raw);
+      plan.seed = static_cast<std::uint64_t>(
+          kIn.integer_of(value, "seed", 0, kMaxExactJsonInteger));
     } else if (key == "crashes") {
       if (!value.is_array()) fail("crashes must be an array");
       const JsonArray& items = value.as_array();
@@ -218,6 +209,10 @@ FaultPlan parse_fault_plan(std::string_view text) {
     }
   }
   return plan;
+}
+
+FaultPlan parse_fault_plan(std::string_view text) {
+  return parse_fault_plan(parse_json(text));
 }
 
 FaultPlan load_fault_plan(const std::string& path) {

@@ -31,6 +31,7 @@
 
 namespace pacds {
 
+class JsonValue;
 class JsonWriter;
 
 /// Host goes down at the start of interval `at`; comes back at the start of
@@ -84,10 +85,14 @@ struct FaultPlan {
   }
 };
 
-/// Parses a plan document (strict JSON; unknown keys are errors so typos
-/// fail loudly). Range rules: intervals >= 1, rates in [0, 1), amounts > 0,
-/// recover_at/until either 0 or > at. Throws std::runtime_error naming the
-/// offending field.
+/// Parses a plan object (strict; unknown keys are errors so typos fail
+/// loudly). Range rules: numbers finite, seed an integer in [0, 2^53 - 1],
+/// intervals >= 1, rates in [0, 1), amounts > 0, recover_at/until either 0
+/// or > at. Throws std::runtime_error naming the offending field. Serve
+/// requests and corpus files pass the "faults" value they already parsed.
+[[nodiscard]] FaultPlan parse_fault_plan(const JsonValue& doc);
+
+/// As above, for a plan document in JSON text.
 [[nodiscard]] FaultPlan parse_fault_plan(std::string_view text);
 
 /// Reads and parses a plan file; errors are prefixed with the path.

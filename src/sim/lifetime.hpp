@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/cds.hpp"
+#include "core/enum_names.hpp"
 #include "energy/traffic.hpp"
 #include "net/geometric.hpp"
 #include "net/mobility.hpp"
@@ -50,7 +51,13 @@ enum class SimEngine : std::uint8_t {
   kTiled,
 };
 
-[[nodiscard]] std::string to_string(SimEngine engine);
+constexpr auto enum_names(SimEngine) {
+  return std::to_array<EnumName<SimEngine>>(
+      {{SimEngine::kAuto, "auto"},
+       {SimEngine::kFullRebuild, "full"},
+       {SimEngine::kIncremental, "incremental"},
+       {SimEngine::kTiled, "tiled"}});
+}
 
 /// What kind of backbone each interval maintains.
 enum class BackboneMode : std::uint8_t {
@@ -66,7 +73,10 @@ enum class BackboneMode : std::uint8_t {
   kCds22,
 };
 
-[[nodiscard]] std::string to_string(BackboneMode mode);
+constexpr auto enum_names(BackboneMode) {
+  return std::to_array<EnumName<BackboneMode>>(
+      {{BackboneMode::kScheme, "scheme"}, {BackboneMode::kCds22, "cds22"}});
+}
 
 /// All knobs of one lifetime simulation; defaults are the paper's settings.
 struct SimConfig {

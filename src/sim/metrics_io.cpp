@@ -5,14 +5,6 @@
 
 namespace pacds {
 
-namespace {
-
-const char* clique_policy_name(CliquePolicy policy) {
-  return policy == CliquePolicy::kElectMaxKey ? "elect-max-key" : "none";
-}
-
-}  // namespace
-
 void write_run_manifest(obs::JsonlSink& sink, const SimConfig& config,
                         std::uint64_t base_seed, std::size_t trials,
                         const FaultPlan* faults) {
@@ -81,7 +73,7 @@ void write_run_manifest(obs::JsonlSink& sink, const SimConfig& config,
     }
     json.key("strategy").value(to_string(config.cds_options.strategy));
     json.key("clique_policy")
-        .value(clique_policy_name(config.cds_options.clique_policy));
+        .value(to_string(config.cds_options.clique_policy));
     if (config.custom_key.has_value()) {
       json.key("custom_key").value(to_string(*config.custom_key));
       json.key("custom_rule2_form").value(to_string(config.custom_rule2_form));

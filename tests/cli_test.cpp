@@ -369,8 +369,13 @@ TEST(CliTest, SimDeterministicAcrossRuns) {
   EXPECT_EQ(run_cli(cmd).out, run_cli(cmd).out);
 }
 
+/// One file per test: ctest runs the tests of this binary in parallel, and
+/// each removes its plan when done.
 std::string write_sample_plan() {
-  const std::string path = ::testing::TempDir() + "/pacds_cli_plan.json";
+  const std::string path =
+      ::testing::TempDir() + "/pacds_cli_plan_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json";
   std::ofstream file(path);
   file << R"({
     "crashes": [{"node": 2, "at": 2, "recover_at": 6}, {"node": 4, "at": 3}],

@@ -23,9 +23,9 @@ namespace {
 // See SimConfigSizeIsPinnedToTheWireFormat at the bottom.
 constexpr std::size_t kExpectedSimConfigSize = 296;
 
-std::string to_json(const SimConfig& config) {
+std::string to_json(const SimConfig& config, unsigned indent = 2) {
   std::ostringstream out;
-  JsonWriter json(out, 2);
+  JsonWriter json(out, indent);
   write_sim_config_json(json, config);
   return out.str();
 }
@@ -157,6 +157,49 @@ TEST(ConfigJsonTest, EveryFieldRoundTripsLossless) {
   EXPECT_EQ(to_json(parsed), wire);
 }
 
+// The exact wire bytes: key order, key spelling and number formatting.
+// Serve digests hash these bytes and corpus files store them, so any drift
+// here is a format change, not a refactor.
+TEST(ConfigJsonTest, WireBytesArePinned) {
+  EXPECT_EQ(
+      to_json(SimConfig{}, 0),
+      R"({"n":50,"field_width":100,"field_height":100,"field_depth":0,)"
+      R"("boundary":"clamp","radius":25,"link_model":"unit-disk",)"
+      R"("radio":"unit-disk","radio_params":{"sigma_db":4,)"
+      R"("path_loss_exp":3,"link_prob":0.85,"fading_seed":1},)"
+      R"("initial_energy":100,"drain_model":"linear","drain_params":)"
+      R"({"nongateway_drain":1,"constant_base":2,"quadratic_divisor":10},)"
+      R"("stay_probability":0.5,"jump_min":1,"jump_max":6,)"
+      R"("mobility":"paper-jump","mobility_params":{"stay_probability":0.5,)"
+      R"("jump_min":1,"jump_max":6,"step_min":1,"step_max":6,"speed_min":1,)"
+      R"("speed_max":6,"pause_intervals":0,"mean_speed":3,"alpha":0.75,)"
+      R"("speed_stddev":1,"heading_stddev":0.5},"scheme":"EL1",)"
+      R"("strategy":"sequential","clique_policy":"none","custom_key":null,)"
+      R"("custom_rule2_form":"refined","use_rule_k":false,"quantum":1,)"
+      R"("stability_beta":0.75,"stability_quantum":0.5,"engine":"auto",)"
+      R"("backbone":"scheme","tiles":0,"threads":1,"max_intervals":200000,)"
+      R"("connect_retries":500})");
+  EXPECT_EQ(
+      to_json(non_default_config(), 0),
+      R"({"n":17,"field_width":120.5,"field_height":80.25,)"
+      R"("field_depth":30.75,"boundary":"reflect","radius":27.5,)"
+      R"("link_model":"unit-disk","radio":"shadowing","radio_params":)"
+      R"({"sigma_db":5.5,"path_loss_exp":2.75,"link_prob":0.65,)"
+      R"("fading_seed":123456789},"initial_energy":42.5,)"
+      R"("drain_model":"quadratic","drain_params":{"nongateway_drain":0.125,)"
+      R"("constant_base":2.5,"quadratic_divisor":7},"stay_probability":0.375,)"
+      R"("jump_min":2,"jump_max":5,"mobility":"gauss-markov",)"
+      R"("mobility_params":{"stay_probability":0.625,"jump_min":0,)"
+      R"("jump_max":3,"step_min":0.5,"step_max":4.5,"speed_min":1.25,)"
+      R"("speed_max":3.75,"pause_intervals":2,"mean_speed":2.25,)"
+      R"("alpha":0.875,"speed_stddev":1.125,"heading_stddev":0.6875},)"
+      R"("scheme":"SEL","strategy":"verified","clique_policy":"elect-max-key",)"
+      R"("custom_key":"ND","custom_rule2_form":"simple","use_rule_k":true,)"
+      R"("quantum":3.5,"stability_beta":0.8125,"stability_quantum":1.25,)"
+      R"("engine":"tiled","backbone":"cds22","tiles":9,"threads":4,)"
+      R"("max_intervals":1234,"connect_retries":77})");
+}
+
 TEST(ConfigJsonTest, DefaultsRoundTrip) {
   const SimConfig original;
   const std::string wire = to_json(original);
@@ -269,15 +312,14 @@ TEST(ConfigJsonTest, OutOfRangeValuesFail) {
       std::runtime_error);
 }
 
-// Tripwire: if this fails, SimConfig gained (or lost) a member. Extend
-// write_sim_config_json, parse_sim_config_json, non_default_config() and
+// Tripwire: if this fails, SimConfig gained (or lost) a member. Extend the
+// field list in sim/config_json.cpp, non_default_config() and
 // expect_config_eq() above, then update the expected size.
 TEST(ConfigJsonTest, SimConfigSizeIsPinnedToTheWireFormat) {
   EXPECT_EQ(sizeof(SimConfig), kExpectedSimConfigSize)
-      << "SimConfig changed shape. Every member must be serialized by "
-         "write_sim_config_json, accepted by parse_sim_config_json, and "
-         "covered by this suite's non_default_config/expect_config_eq "
-         "before bumping this constant.";
+      << "SimConfig changed shape. Every member must be in the field list "
+         "of sim/config_json.cpp and covered by this suite's "
+         "non_default_config/expect_config_eq before bumping this constant.";
 }
 
 }  // namespace

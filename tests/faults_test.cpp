@@ -115,6 +115,45 @@ TEST(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_THROW((void)parse_fault_plan("[]"), std::runtime_error);
 }
 
+std::string parse_error_of(const std::string& text) {
+  try {
+    (void)parse_fault_plan(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted: " << text;
+  return "";
+}
+
+// JsonWriter writes a non-finite number as null, so a plan that accepted
+// one would write back out as a plan that no longer parses.
+TEST(FaultPlanTest, RejectsNonFiniteNumbers) {
+  EXPECT_EQ(parse_error_of(R"({"thefts": [{"node": 1, "at": 2, )"
+                           R"("amount": 1e400}]})"),
+            "fault plan: thefts[0].amount must be finite");
+  EXPECT_EQ(parse_error_of(R"({"blackouts": [{"x0": -1e400, "y0": 0, )"
+                           R"("x1": 5, "y1": 5, "at": 1}]})"),
+            "fault plan: blackouts[0].x0 must be finite");
+  EXPECT_EQ(parse_error_of(R"({"blackouts": [{"x0": 0, "y0": 0, "x1": 5, )"
+                           R"("y1": 1e400, "at": 1}]})"),
+            "fault plan: blackouts[0].y1 must be finite");
+}
+
+// Seeds ride the wire as doubles. Past 2^53 - 1 an integer either is not
+// exact or shares its double with a neighbour, and past 2^64 the cast to
+// std::uint64_t is undefined, so the seed would change silently.
+TEST(FaultPlanTest, SeedMustBeAnExactInteger) {
+  EXPECT_EQ(parse_fault_plan(R"({"seed": 9007199254740991})").seed,
+            9007199254740991u);
+  for (const char* seed : {"1e300", "18446744073709551616",
+                           "9007199254740993", "9007199254740992", "-1",
+                           "1.5"}) {
+    EXPECT_EQ(parse_error_of(std::string(R"({"seed": )") + seed + "}"),
+              "fault plan: seed must be an integer in [0, 9007199254740991]")
+        << seed;
+  }
+}
+
 TEST(FaultPlanTest, ValidateChecksNodeRange) {
   FaultPlan plan;
   plan.crashes = {{9, 1, 0}};

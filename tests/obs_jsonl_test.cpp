@@ -194,6 +194,49 @@ TEST_F(MetricsSchemaTest, RuleKIntervalsRecordMarkingAndRulesTime) {
   }
 }
 
+// The exact manifest bytes for a config that takes every conditional
+// branch of the writer: radio parameters (non-unit-disk radio), the
+// Gauss-Markov parameter block, the SEL stability keys and the custom-key
+// pair. Serve tenants tag these lines and the benchmark digests hash them.
+TEST(RunManifestTest, BytesArePinned) {
+  SimConfig config;
+  config.n_hosts = 40;
+  config.radio = RadioKind::kShadowing;
+  config.radio_params.sigma_db = 6.5;
+  config.radio_params.fading_seed = 99;
+  config.mobility_kind = MobilityKind::kGaussMarkov;
+  config.mobility_params.mean_speed = 2.5;
+  config.mobility_params.alpha = 0.75;
+  config.rule_set = RuleSet::kSEL;
+  config.custom_key = KeyKind::kStabilityEnergyId;
+  config.custom_rule2_form = Rule2Form::kSimple;
+  config.cds_options.clique_policy = CliquePolicy::kElectMaxKey;
+  config.stability_beta = 0.625;
+  std::ostringstream out;
+  obs::JsonlSink sink(out);
+  write_run_manifest(sink, config, 2001, 3, nullptr);
+  EXPECT_EQ(
+      out.str(),
+      R"({"type":"run_manifest","schema":1,"base_seed":2001,"trials":3,)"
+      R"("scheme":"SEL","engine":"full-rebuild","engine_config":"auto",)"
+      R"("backbone":"scheme","threads":1,"tiles":0,"n_hosts":40,)"
+      R"("field_width":100,"field_height":100,"field_depth":0,)"
+      R"("boundary":"clamp","radius":25,"link_model":"unit-disk",)"
+      R"("radio":"shadowing","sigma_db":6.5,"path_loss_exp":3,)"
+      R"("link_prob":0.85,"fading_seed":99,"initial_energy":100,)"
+      R"("drain_model":"d=N/|G'|","nongateway_drain":1,"constant_base":2,)"
+      R"("quadratic_divisor":10,"mobility":"gauss-markov",)"
+      R"("stay_probability":0.5,"jump_min":1,"jump_max":6,)"
+      R"("mean_speed":2.5,"alpha":0.75,"speed_stddev":1,)"
+      R"("heading_stddev":0.5,"stability_beta":0.625,)"
+      R"("stability_quantum":0.5,"strategy":"sequential",)"
+      R"("clique_policy":"elect-max-key","custom_key":"SEL",)"
+      R"("custom_rule2_form":"simple","use_rule_k":false,)"
+      R"("energy_key_quantum":1,"connect_retries":500,)"
+      R"("max_intervals":200000,"faults":null})"
+      "\n");
+}
+
 // ---------------------------------------------------------------------------
 // Shared stream validator (obs/validate.hpp): the one schema check behind
 // `bench_report --validate-jsonl`, the fuzz harness's JSONL oracle, and CI.

@@ -139,6 +139,17 @@ TEST(ServeProtocolTest, SchemaViolationsAreNamed) {
             ErrorCode::kSchema);
 }
 
+// The fault plan is parsed from the request's own JSON value, so the error
+// names the number as the client sent it (1e400 overflows to inf) rather
+// than the null a text round trip would have turned it into.
+TEST(ServeProtocolTest, FaultPlanErrorsNameTheSentValue) {
+  const RequestError error = parse_error_of(
+      R"({"op":"create","tenant":"a","config":{"n":5},)"
+      R"("faults":{"thefts":[{"node":1,"at":2,"amount":1e400}]}})");
+  EXPECT_EQ(error.code, ErrorCode::kSchema);
+  EXPECT_EQ(error.message, "fault plan: thefts[0].amount must be finite");
+}
+
 TEST(ServeProtocolTest, TenantNamesAreIdentifiers) {
   EXPECT_TRUE(valid_tenant_name("a"));
   EXPECT_TRUE(valid_tenant_name("tenant-7.B_x"));
