@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace pacds {
 namespace {
@@ -81,6 +82,41 @@ TEST(OverheadTest, AllRuleSetsWork) {
     config.intervals = 5;
     const MaintenanceOverhead r = measure_maintenance_overhead(config, 10);
     EXPECT_EQ(r.intervals, 5u) << to_string(rs);
+  }
+}
+
+TEST(OverheadTest, PinnedMessagesPerMobilityModel) {
+  // Exact message counts for every mobility model under both energy-keyed
+  // schemes (the extension grids run only ND). Placement, mobility, the
+  // link graph and the backbone all feed these numbers.
+  struct Pin {
+    MobilityKind mobility;
+    RuleSet rule_set;
+    std::size_t neighbor_msgs;
+    std::size_t status_msgs;
+  };
+  const Pin pins[] = {
+    {MobilityKind::kStatic, RuleSet::kEL1, 0, 0},
+    {MobilityKind::kStatic, RuleSet::kEL2, 0, 0},
+    {MobilityKind::kPaperJump, RuleSet::kEL1, 312, 97},
+    {MobilityKind::kPaperJump, RuleSet::kEL2, 312, 130},
+    {MobilityKind::kRandomWalk, RuleSet::kEL1, 371, 117},
+    {MobilityKind::kRandomWalk, RuleSet::kEL2, 371, 142},
+    {MobilityKind::kRandomWaypoint, RuleSet::kEL1, 427, 125},
+    {MobilityKind::kRandomWaypoint, RuleSet::kEL2, 427, 136},
+    {MobilityKind::kGaussMarkov, RuleSet::kEL1, 289, 103},
+    {MobilityKind::kGaussMarkov, RuleSet::kEL2, 289, 127},
+  };
+  for (const Pin& pin : pins) {
+    OverheadConfig config = base_config();
+    config.mobility_kind = pin.mobility;
+    config.rule_set = pin.rule_set;
+    const MaintenanceOverhead r = measure_maintenance_overhead(config, 103);
+    const std::string label =
+        to_string(pin.mobility) + "/" + to_string(pin.rule_set);
+    EXPECT_EQ(r.neighbor_msgs, pin.neighbor_msgs) << label;
+    EXPECT_EQ(r.status_msgs, pin.status_msgs) << label;
+    EXPECT_EQ(r.intervals, 20u) << label;
   }
 }
 
