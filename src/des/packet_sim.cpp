@@ -6,9 +6,8 @@
 
 #include "des/event_queue.hpp"
 #include "energy/battery.hpp"
-#include "net/mobility.hpp"
-#include "net/udg.hpp"
 #include "routing/routing.hpp"
+#include "sim/engine.hpp"
 
 namespace pacds::des {
 
@@ -28,27 +27,17 @@ class Sim {
   Sim(const PacketSimConfig& config, std::uint64_t seed)
       : config_(config),
         rng_(seed),
-        field_(Field::paper_field()),
-        mobility_(config.stay_probability, config.jump_min, config.jump_max),
-        queues_(static_cast<std::size_t>(config.n_hosts)),
-        busy_(static_cast<std::size_t>(config.n_hosts), 0) {
-    if (config.n_hosts < 2 || config.sim_time <= 0.0 ||
-        config.injection_gap <= 0.0 || config.tx_time <= 0.0 ||
-        config.update_interval <= 0.0) {
-      throw std::invalid_argument("run_packet_sim: bad configuration");
-    }
-    if (auto placed = random_connected_placement(config.n_hosts, field_,
-                                                 config.radius, rng_,
-                                                 config.connect_retries)) {
-      positions_ = std::move(placed->positions);
-    } else {
-      positions_ = random_placement(config.n_hosts, field_, rng_);
-    }
+        hosts_(config_, rng_),
+        engine_(make_lifetime_engine(config_)),
+        levels_(static_cast<std::size_t>(config_.n_hosts), 1.0),
+        queues_(static_cast<std::size_t>(config_.n_hosts)),
+        busy_(static_cast<std::size_t>(config_.n_hosts), 0) {
     if (config.faults != nullptr && config.faults->has_lifetime_events()) {
       validate_fault_plan(*config.faults, config.n_hosts);
-      batteries_.emplace(static_cast<std::size_t>(config.n_hosts), 100.0);
-      injector_.emplace(*config.faults, positions_.size(), field_.width(),
-                        config.radius);
+      batteries_.emplace(static_cast<std::size_t>(config.n_hosts),
+                         config.initial_energy);
+      injector_.emplace(*config.faults, hosts_.positions.size(),
+                        config.field_width, config.radius);
       apply_faults();  // the plan's interval 1 = the first backbone build
     }
     rebuild_backbone();
@@ -87,7 +76,8 @@ class Sim {
   /// newly-down host was holding (its queue and service slot die with it).
   void apply_faults() {
     fault_scratch_.clear();
-    injector_->apply(interval_, positions_, *batteries_, fault_scratch_);
+    injector_->apply(interval_, hosts_.positions, *batteries_,
+                     fault_scratch_);
     result_.fault_events += fault_scratch_.size();
     if (!injector_->take_down_changed()) return;
     for (std::size_t h = 0; h < queues_.size(); ++h) {
@@ -100,19 +90,16 @@ class Sim {
 
   void rebuild_backbone() {
     const std::vector<Vec2>& radio_positions =
-        injector_ ? injector_->effective_positions(positions_) : positions_;
-    graph_ = build_udg(radio_positions, config_.radius);
-    const std::vector<double> uniform(
-        static_cast<std::size_t>(config_.n_hosts), 1.0);
-    cds_ = compute_cds(graph_, config_.rule_set, uniform,
-                       config_.cds_options);
-    router_.emplace(graph_, cds_.gateways);
-    gateway_sum_ += static_cast<double>(cds_.gateway_count);
+        injector_ ? injector_->effective_positions(hosts_.positions)
+                  : hosts_.positions;
+    engine_->update(radio_positions, levels_);
+    router_.emplace(*engine_->graph(), engine_->gateways());
+    gateway_sum_ += static_cast<double>(engine_->counts().gateways);
     ++backbone_samples_;
   }
 
   void refresh_topology() {
-    mobility_.step(positions_, field_, rng_);
+    hosts_.move(rng_);
     ++interval_;
     if (injector_) apply_faults();
     rebuild_backbone();
@@ -163,7 +150,7 @@ class Sim {
     Packet packet = std::move(queues_[hi].front());
     queues_[hi].pop_front();
     const NodeId next = packet.route[packet.at + 1];
-    if (!graph_.has_edge(host, next)) {
+    if (!engine_->graph()->has_edge(host, next)) {
       // The next hop moved out of range since the route was computed.
       ++result_.drops.route_break;
       try_transmit(host);  // serve the next packet immediately
@@ -233,11 +220,11 @@ class Sim {
 
   PacketSimConfig config_;
   Xoshiro256 rng_;
-  Field field_;
-  PaperJumpMobility mobility_;
-  std::vector<Vec2> positions_;
-  Graph graph_;
-  CdsResult cds_;
+  Hosts hosts_;
+  std::unique_ptr<LifetimeEngine> engine_;
+  /// The backbone keys see one constant level per host: the DES drains no
+  /// battery, and a theft must not reorder the keys.
+  std::vector<double> levels_;
   std::optional<DominatingSetRouter> router_;
 
   /// Fault plumbing (engaged only when config.faults has lifetime events).
@@ -261,6 +248,11 @@ class Sim {
 
 PacketSimResult run_packet_sim(const PacketSimConfig& config,
                                std::uint64_t seed) {
+  if (config.n_hosts < 2 || config.sim_time <= 0.0 ||
+      config.injection_gap <= 0.0 || config.tx_time <= 0.0 ||
+      config.update_interval <= 0.0) {
+    throw std::invalid_argument("run_packet_sim: bad configuration");
+  }
   Sim sim(config, seed);
   return sim.run();
 }

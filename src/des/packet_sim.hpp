@@ -2,36 +2,35 @@
 // Discrete-event packet-level simulation of dominating-set routing with
 // queueing. Each host owns a FIFO transmit queue and serves one packet per
 // `tx_time`; packets follow source routes computed on the current backbone.
-// Every `update_interval` the hosts move, the unit-disk graph and gateway
-// set are recomputed, and in-flight packets whose next hop walked out of
-// range are dropped (route breakage). The experiment this enables: smaller
-// backbones concentrate forwarding on fewer hosts, so schemes trade
-// backbone size against queueing delay — a dimension the paper's interval
-// model cannot see.
+// Every `update_interval` the hosts move, the lifetime engine recomputes
+// the link graph and gateway set, and in-flight packets whose next hop
+// walked out of range are dropped (route breakage). The experiment this
+// enables: smaller backbones concentrate forwarding on fewer hosts, so
+// schemes trade backbone size against queueing delay — a dimension the
+// paper's interval model cannot see.
 
 #include <cstdint>
 #include <vector>
 
-#include "core/cds.hpp"
-#include "net/space.hpp"
-#include "net/topology.hpp"
 #include "sim/faults.hpp"
+#include "sim/lifetime.hpp"
 #include "sim/stats.hpp"
 
 namespace pacds::des {
 
-struct PacketSimConfig {
-  int n_hosts = 40;
-  double radius = kPaperRadius;
-
-  pacds::RuleSet rule_set = RuleSet::kND;
-  CdsOptions cds_options{};
+/// A packet-level run: every SimConfig axis (field, placement, mobility,
+/// radio, scheme, strategy, engine) plus the queueing knobs. The inherited
+/// drain_model, drain_params and max_intervals do not apply: the DES drains
+/// no battery, and sim_time / update_interval sets the run length.
+struct PacketSimConfig : SimConfig {
+  /// The DES defaults that differ from SimConfig's.
+  PacketSimConfig() {
+    n_hosts = 40;
+    rule_set = RuleSet::kND;
+  }
 
   double sim_time = 400.0;         ///< total simulated time
   double update_interval = 20.0;   ///< mobility + backbone refresh period
-  double stay_probability = 0.5;   ///< paper mobility inside each refresh
-  int jump_min = 1;
-  int jump_max = 6;
 
   double injection_gap = 0.5;      ///< one new packet every gap
   double tx_time = 1.0;            ///< service time per hop
@@ -43,16 +42,15 @@ struct PacketSimConfig {
   double loss_probability = 0.0;
   int max_retries = 3;
 
-  int connect_retries = 500;
-
   /// Optional fault plan (borrowed; must outlive the run). Crash/recover,
   /// theft and blackout events apply at backbone-refresh boundaries — the
   /// plan's interval t maps to the t-th backbone build. Down hosts leave
   /// the radio graph, their queued and in-flight packets are dropped as
   /// `crashed`, and they neither source nor sink new traffic. The plan
   /// consumes no randomness, so the mobility/injection/loss streams match
-  /// the fault-free run of the same seed. Thefts only kill a host here when
-  /// `amount` >= 100 (the DES models no battery drain).
+  /// the fault-free run of the same seed. The theft battery starts at
+  /// initial_energy and nothing else drains it, so a theft kills its host
+  /// only when `amount` >= initial_energy.
   const FaultPlan* faults = nullptr;
 };
 

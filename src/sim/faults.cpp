@@ -364,21 +364,21 @@ BackboneHealth assess_backbone(const Graph& g, const DynBitset& gateways,
 
 // ---- FaultInjector ---------------------------------------------------------
 
+Vec2 park_position(std::size_t host, double field_width, double radius) {
+  const double spacing = 2.0 * (radius > 0.0 ? radius : 1.0);
+  return {field_width + spacing * static_cast<double>(host + 1), -spacing};
+}
+
 FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t n_hosts,
                              double field_width, double radius)
     : plan_(&plan),
       schedule_(resolve_schedule(plan)),
       field_width_(field_width),
-      park_spacing_(2.0 * (radius > 0.0 ? radius : 1.0)),
+      radius_(radius),
       down_reasons_(n_hosts, 0),
       dead_(n_hosts, false),
       down_(n_hosts),
       blackout_members_(plan.blackouts.size()) {}
-
-Vec2 FaultInjector::park_position(std::size_t host) const {
-  return {field_width_ + park_spacing_ * static_cast<double>(host + 1),
-          -park_spacing_};
-}
 
 void FaultInjector::add_down_reason(std::size_t host) {
   ++down_reasons_[host];
@@ -495,7 +495,9 @@ const std::vector<Vec2>& FaultInjector::effective_positions(
   if (down_count_ == 0) return positions;
   effective_.assign(positions.begin(), positions.end());
   down_.for_each_set(
-      [this](std::size_t host) { effective_[host] = park_position(host); });
+      [this](std::size_t host) {
+        effective_[host] = park_position(host, field_width_, radius_);
+      });
   return effective_;
 }
 

@@ -157,12 +157,17 @@ struct FaultStats {
   bool operator==(const FaultStats&) const = default;
 };
 
+/// Where host i sits while off the air: outside the field, >= 2 * radius
+/// from it and from every other parked host, so no link model or engine
+/// links it (the spatial grid handles out-of-field coordinates). Down hosts
+/// and the traffic trial's switched-off hosts park here.
+[[nodiscard]] Vec2 park_position(std::size_t host, double field_width,
+                                 double radius);
+
 /// Applies a plan's schedule interval by interval. Owns the down set: a
 /// host is down while crashed (scheduled or blackout) or once dead; dead
 /// hosts never recover. Down hosts are excised from the radio graph by
-/// reporting a parked position — beyond the field and pairwise farther than
-/// the radius apart, so they are isolated under every link model and both
-/// engines (the spatial grid handles out-of-field coordinates).
+/// reporting their park_position.
 class FaultInjector {
  public:
   /// `plan` is borrowed and must outlive the injector.
@@ -198,10 +203,6 @@ class FaultInjector {
   [[nodiscard]] const std::vector<Vec2>& effective_positions(
       const std::vector<Vec2>& positions);
 
-  /// Where host i sits while down: outside the field, >= 2 * radius from
-  /// the field and from every other parked host.
-  [[nodiscard]] Vec2 park_position(std::size_t host) const;
-
  private:
   void add_down_reason(std::size_t host);
   void remove_down_reason(std::size_t host);
@@ -211,7 +212,7 @@ class FaultInjector {
   std::vector<ScheduledFault> schedule_;
   std::size_t cursor_ = 0;
   double field_width_;
-  double park_spacing_;
+  double radius_;
 
   /// A host is down iff dead or down_reasons_ > 0 (crash and blackout
   /// windows may overlap; recovery from one must not undo the other).

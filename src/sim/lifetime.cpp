@@ -11,48 +11,62 @@
 
 namespace pacds {
 
-LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
-                         IntervalObserver* observer, const FaultPlan* faults)
-    : config_(config),
-      rng_(seed),
-      field_(config.field_width, config.field_height, config.field_depth,
-             config.boundary),
-      observer_(observer),
-      batteries_(static_cast<std::size_t>(std::max(config.n_hosts, 1)),
-                 config.initial_energy) {
-  if (config_.n_hosts < 1) {
+namespace {
+
+/// LifetimeRun's config checks; they throw before placement runs.
+const SimConfig& validated(const SimConfig& config) {
+  if (config.n_hosts < 1) {
     throw std::invalid_argument("run_lifetime_trial: need at least one host");
   }
-  if (config_.radio != RadioKind::kUnitDisk &&
-      config_.link_model != LinkModel::kUnitDisk) {
+  if (config.radio != RadioKind::kUnitDisk &&
+      config.link_model != LinkModel::kUnitDisk) {
     throw std::invalid_argument(
         "run_lifetime_trial: a non-unit-disk radio prunes unit-disk "
         "candidates and cannot compose with the gabriel/rng link models");
   }
-  if (!(config_.stability_beta >= 0.0) || !(config_.stability_beta <= 1.0)) {
+  if (!(config.stability_beta >= 0.0) || !(config.stability_beta <= 1.0)) {
     throw std::invalid_argument(
         "run_lifetime_trial: stability_beta must be in [0, 1]");
   }
-  if (auto placed =
-          random_connected_placement(config_.n_hosts, field_, config_.radius,
-                                     rng_, config_.connect_retries)) {
-    positions_ = std::move(placed->positions);
-    result_.placement_attempts = placed->attempts;
+  return config;
+}
+
+}  // namespace
+
+Hosts::Hosts(const SimConfig& config, Xoshiro256& rng)
+    : field(config.field_width, config.field_height, config.field_depth,
+            config.boundary) {
+  if (auto placed = random_connected_placement(
+          config.n_hosts, field, config.radius, rng, config.connect_retries)) {
+    positions = std::move(placed->positions);
+    placement_attempts = placed->attempts;
   } else {
     // No connected placement found (tiny n or sparse density): proceed with
     // a plain placement; the marking/rules handle components independently.
-    positions_ = random_placement(config_.n_hosts, field_, rng_);
-    result_.initial_connected = false;
-    result_.placement_attempts = config_.connect_retries;
+    positions = random_placement(config.n_hosts, field, rng);
+    connected = false;
+    placement_attempts = config.connect_retries;
   }
 
-  MobilityParams mobility_params = config_.mobility_params;
-  if (config_.mobility_kind == MobilityKind::kPaperJump) {
-    mobility_params.stay_probability = config_.stay_probability;
-    mobility_params.jump_min = config_.jump_min;
-    mobility_params.jump_max = config_.jump_max;
+  MobilityParams mobility_params = config.mobility_params;
+  if (config.mobility_kind == MobilityKind::kPaperJump) {
+    mobility_params.stay_probability = config.stay_probability;
+    mobility_params.jump_min = config.jump_min;
+    mobility_params.jump_max = config.jump_max;
   }
-  mobility_ = make_mobility(config_.mobility_kind, mobility_params);
+  mobility = make_mobility(config.mobility_kind, mobility_params);
+}
+
+LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
+                         IntervalObserver* observer, const FaultPlan* faults)
+    : config_(config),
+      rng_(seed),
+      observer_(observer),
+      batteries_(static_cast<std::size_t>(std::max(config.n_hosts, 1)),
+                 config.initial_energy),
+      hosts_(validated(config_), rng_) {
+  result_.placement_attempts = hosts_.placement_attempts;
+  result_.initial_connected = hosts_.connected;
 
   // Placement and mobility are the only RNG consumers, so neither the choice
   // of engine nor a fault plan can perturb the random stream: both engines
@@ -100,7 +114,7 @@ bool LifetimeRun::step() {
     {
       const obs::PhaseTimer timer(observer_ != nullptr ? &metrics_ : nullptr,
                                   obs::Phase::kFaultApply);
-      injector_->apply(interval, positions_, batteries_, fault_events_);
+      injector_->apply(interval, hosts_.positions, batteries_, fault_events_);
     }
     repair_due = injector_->take_down_changed();
   }
@@ -109,7 +123,8 @@ bool LifetimeRun::step() {
   //    isolated) — for the incremental engine the update IS the localized
   //    repair: only the k-hop ball around the excised links re-evaluates.
   const std::vector<Vec2>& radio_positions =
-      faulted_ ? injector_->effective_positions(positions_) : positions_;
+      faulted_ ? injector_->effective_positions(hosts_.positions)
+               : hosts_.positions;
   std::uint64_t repair_ns = 0;
   if (repair_due) {
     const auto start = std::chrono::steady_clock::now();
@@ -271,7 +286,7 @@ bool LifetimeRun::step() {
     attrition_stop_ = true;
     return true;
   }
-  mobility_->step(positions_, field_, rng_);
+  hosts_.move(rng_);
   return true;
 }
 

@@ -173,6 +173,24 @@ struct SimConfig {
   long max_intervals = 200000;
 };
 
+/// The hosts of one run: the field, a connected placement (a plain one once
+/// connect_retries attempts fail) and the mobility model. LifetimeRun, the
+/// traffic trial, the packet DES and the overhead count all place and move
+/// hosts through it; placement and move() are its only RNG draws.
+struct Hosts {
+  /// kPaperJump reads SimConfig's top-level stay/jump trio, the other
+  /// mobility kinds read mobility_params.
+  Hosts(const SimConfig& config, Xoshiro256& rng);
+
+  void move(Xoshiro256& rng) { mobility->step(positions, field, rng); }
+
+  Field field;
+  std::vector<Vec2> positions;
+  std::unique_ptr<MobilityModel> mobility;
+  int placement_attempts = 1;
+  bool connected = true;  ///< whether a connected placement was found
+};
+
 /// Outcome of one simulated network lifetime. In a fault-free run
 /// `intervals` is the paper's lifetime (intervals to first death). In a
 /// degraded-mode run (non-empty fault plan) the trial continues past deaths
@@ -247,15 +265,13 @@ class LifetimeRun {
  private:
   SimConfig config_;
   Xoshiro256 rng_;
-  Field field_;
   IntervalObserver* observer_ = nullptr;
   FaultPlan fault_plan_{};
   bool faulted_ = false;
 
   TrialResult result_;
-  std::vector<Vec2> positions_;
   BatteryBank batteries_;
-  std::unique_ptr<MobilityModel> mobility_;
+  Hosts hosts_;
   std::unique_ptr<LifetimeEngine> engine_;
   obs::MetricsRegistry metrics_;
   std::optional<FaultInjector> injector_;

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "net/udg.hpp"
+#include "sim/engine.hpp"
 
 namespace pacds {
 
@@ -13,33 +13,38 @@ MaintenanceOverhead measure_maintenance_overhead(const OverheadConfig& config,
   if (config.n_hosts < 1 || config.intervals < 0) {
     throw std::invalid_argument("measure_maintenance_overhead: bad config");
   }
+  // The one place an OverheadConfig becomes a SimConfig. Its paper jump
+  // reads mobility_params' stay/jump trio, Hosts the top-level one.
+  SimConfig sim;
+  sim.n_hosts = config.n_hosts;
+  sim.radius = config.radius;
+  sim.rule_set = config.rule_set;
+  sim.mobility_kind = config.mobility_kind;
+  sim.mobility_params = config.mobility_params;
+  sim.stay_probability = config.mobility_params.stay_probability;
+  sim.jump_min = config.mobility_params.jump_min;
+  sim.jump_max = config.mobility_params.jump_max;
+  sim.connect_retries = config.connect_retries;
   Xoshiro256 rng(seed);
-  const Field field = Field::paper_field();
-
-  std::vector<Vec2> positions;
-  if (auto placed = random_connected_placement(
-          config.n_hosts, field, config.radius, rng, config.connect_retries)) {
-    positions = std::move(placed->positions);
-  } else {
-    positions = random_placement(config.n_hosts, field, rng);
-  }
+  Hosts hosts(sim, rng);
   const auto n = static_cast<std::size_t>(config.n_hosts);
 
   // No energy model here: the EL schemes see uniform levels (their keys
   // then degenerate to the corresponding static tie-break chains).
   const std::vector<double> uniform(n, 1.0);
-  Graph current = build_udg(positions, config.radius);
-  CdsResult cds = compute_cds(current, config.rule_set, uniform);
+  const auto engine = make_lifetime_engine(sim);
+  engine->update(hosts.positions, uniform);
+  Graph current = *engine->graph();
+  DynBitset gateways = engine->gateways();
 
   MaintenanceOverhead result;
   // Setup: every host broadcasts its neighbor list, then its status.
   result.setup_msgs = 2 * n;
 
-  const auto mobility =
-      make_mobility(config.mobility_kind, config.mobility_params);
   for (int interval = 0; interval < config.intervals; ++interval) {
-    mobility->step(positions, field, rng);
-    const Graph next = build_udg(positions, config.radius);
+    hosts.move(rng);
+    engine->update(hosts.positions, uniform);
+    const Graph& next = *engine->graph();
 
     // Hosts whose adjacency changed re-broadcast their neighbor list.
     std::size_t changed_hosts = 0;
@@ -53,17 +58,13 @@ MaintenanceOverhead measure_maintenance_overhead(const OverheadConfig& config,
     result.neighbor_msgs += changed_hosts;
 
     // Status flips after the (localized) recomputation.
-    const CdsResult next_cds = compute_cds(next, config.rule_set, uniform);
-    std::size_t flips = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cds.gateways.test(i) != next_cds.gateways.test(i)) ++flips;
-    }
-    result.status_msgs += flips;
+    gateways ^= engine->gateways();
+    result.status_msgs += gateways.count();
 
     result.global_msgs += 2 * n;  // naive baseline: full re-flood
     ++result.intervals;
     current = next;
-    cds = next_cds;
+    gateways = engine->gateways();
   }
   return result;
 }

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "energy/battery.hpp"
-#include "net/mobility.hpp"
-#include "net/udg.hpp"
 #include "routing/routing.hpp"
 #include "sim/engine.hpp"
 
@@ -21,64 +19,48 @@ TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
     throw std::invalid_argument("run_traffic_trial: negative flow count");
   }
   Xoshiro256 rng(seed);
-  const Field field(config.field_width, config.field_height, config.boundary);
-
-  std::vector<Vec2> positions;
-  if (auto placed = random_connected_placement(
-          config.n_hosts, field, config.radius, rng, config.connect_retries)) {
-    positions = std::move(placed->positions);
-  } else {
-    positions = random_placement(config.n_hosts, field, rng);
-  }
+  Hosts hosts(config, rng);
 
   const auto n = static_cast<std::size_t>(config.n_hosts);
   BatteryBank batteries(n, config.initial_energy);
-  PaperJumpMobility mobility(config.stay_probability, config.jump_min,
-                             config.jump_max);
+  const auto engine = make_lifetime_engine(config);
   std::vector<char> active(n, 1);
 
   TrafficSimResult result;
   double gateway_sum = 0.0;
-  std::vector<double> key_scratch;
-  LinkBuilder links;
+  std::vector<Vec2> radio_positions;
+  std::vector<NodeId> usable_ids;
   while (result.intervals < config.max_intervals) {
-    // Usable hosts: alive AND switched on.
-    std::vector<char> usable(n, 0);
-    std::vector<NodeId> usable_ids;
+    // Usable hosts: alive AND switched on. The others are parked off the
+    // field, so they stay isolated vertices and indices line up with the
+    // battery bank.
+    radio_positions = hosts.positions;
+    usable_ids.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (active[i] && batteries.alive(i)) {
-        usable[i] = 1;
         usable_ids.push_back(static_cast<NodeId>(i));
+      } else {
+        radio_positions[i] =
+            park_position(i, config.field_width, config.radius);
       }
     }
     if (usable_ids.size() < 2) break;  // nothing left to route
 
-    // Unit-disk links among usable hosts only; the others stay isolated
-    // vertices so indices line up with the battery bank.
-    Graph g;
-    links.build(positions, config.radius, g, [&usable](NodeId u, NodeId v) {
-      return usable[static_cast<std::size_t>(u)] != 0 &&
-             usable[static_cast<std::size_t>(v)] != 0;
-    });
-    const CdsResult cds = compute_cds(
-        g, config.rule_set,
-        quantize_key_levels(batteries.levels(), config.energy_key_quantum,
-                            key_scratch),
-        config.cds_options);
-    gateway_sum += static_cast<double>(cds.gateway_count);
+    engine->update(radio_positions, batteries.levels());
+    const DynBitset& gateways = engine->gateways();
+    gateway_sum += static_cast<double>(engine->counts().gateways);
 
     // Per-interval baseline costs.
     bool someone_died = false;
     for (const NodeId host : usable_ids) {
       const auto hi = static_cast<std::size_t>(host);
       const double upkeep =
-          config.costs.idle + (cds.gateways.test(hi) ? config.costs.beacon
-                                                     : 0.0);
+          config.costs.idle + (gateways.test(hi) ? config.costs.beacon : 0.0);
       someone_died |= batteries.drain(hi, upkeep);
     }
 
     // Route random flows through the backbone and charge per hop.
-    const DominatingSetRouter router(g, cds.gateways);
+    const DominatingSetRouter router(*engine->graph(), gateways);
     for (int flow = 0; flow < config.flows_per_interval; ++flow) {
       const auto si = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(usable_ids.size()) - 1));
@@ -111,7 +93,7 @@ TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
     if (someone_died) break;
 
     // Mobility and churn for the next interval.
-    mobility.step(positions, field, rng);
+    hosts.move(rng);
     for (std::size_t i = 0; i < n; ++i) {
       if (!batteries.alive(i)) continue;
       if (active[i]) {

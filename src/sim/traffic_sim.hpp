@@ -13,9 +13,7 @@
 
 #include <cstdint>
 
-#include "core/cds.hpp"
-#include "net/space.hpp"
-#include "net/topology.hpp"
+#include "sim/lifetime.hpp"
 
 namespace pacds {
 
@@ -35,28 +33,20 @@ struct ChurnModel {
   double on_probability = 0.25;  ///< P(inactive host returns) per interval
 };
 
-struct TrafficSimConfig {
-  int n_hosts = 50;
-  double field_width = 100.0;
-  double field_height = 100.0;
-  BoundaryPolicy boundary = BoundaryPolicy::kClamp;
-  double radius = kPaperRadius;
+/// A traffic trial: every SimConfig axis (field, placement, mobility,
+/// radio, scheme, strategy, engine) plus the routed-traffic knobs. The
+/// inherited drain_model and drain_params do not apply: hosts pay `costs`
+/// per packet instead.
+struct TrafficSimConfig : SimConfig {
+  /// The traffic defaults that differ from SimConfig's.
+  TrafficSimConfig() {
+    initial_energy = 200.0;
+    max_intervals = 100000;
+  }
 
-  double initial_energy = 200.0;
   EnergyCosts costs{};
   int flows_per_interval = 20;  ///< random src->dst packets each interval
-
-  double stay_probability = 0.5;
-  int jump_min = 1;
-  int jump_max = 6;
   ChurnModel churn{};
-
-  RuleSet rule_set = RuleSet::kEL1;
-  CdsOptions cds_options{};
-  double energy_key_quantum = 1.0;
-
-  int connect_retries = 500;
-  long max_intervals = 100000;
 };
 
 struct TrafficSimResult {

@@ -235,7 +235,7 @@ TEST_P(UdgAgreementTest, NaiveEqualsGrid) {
 }
 
 /// Adversarial point sets over the same random base: hosts parked far off
-/// the field (FaultInjector::park_position), negative coordinates, 3-D
+/// the field (park_position in sim/faults.hpp), negative coordinates, 3-D
 /// positions, coincident points and a lattice of pairs at exactly r.
 std::vector<std::pair<std::string, std::vector<Vec2>>> adversarial_sets(
     int n, double radius, std::uint64_t seed) {
