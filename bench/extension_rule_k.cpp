@@ -9,7 +9,7 @@
 #include <iostream>
 #include <vector>
 
-#include "core/rule_k.hpp"
+#include "core/cds.hpp"
 #include "core/verify.hpp"
 #include "io/table.hpp"
 #include "net/rng.hpp"
@@ -46,10 +46,12 @@ int main() {
       sync.strategy = Strategy::kSimultaneous;
       const CdsResult a = compute_cds(g, RuleSet::kND, {}, seq);
       const CdsResult b = compute_cds(g, RuleSet::kND, {}, sync);
-      const CdsResult c =
-          compute_cds_rule_k(g, KeyKind::kDegreeId, {}, Strategy::kSequential);
-      const CdsResult d = compute_cds_rule_k(g, KeyKind::kDegreeId, {},
-                                             Strategy::kSimultaneous);
+      const CdsResult c = compute_cds_custom(
+          g, KeyKind::kDegreeId,
+          RuleConfig{.use_rule_k = true, .strategy = Strategy::kSequential});
+      const CdsResult d = compute_cds_custom(
+          g, KeyKind::kDegreeId,
+          RuleConfig{.use_rule_k = true, .strategy = Strategy::kSimultaneous});
       pw_seq.add(static_cast<double>(a.gateway_count));
       pw_sync.add(static_cast<double>(b.gateway_count));
       rk_seq.add(static_cast<double>(c.gateway_count));

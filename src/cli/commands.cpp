@@ -14,7 +14,6 @@
 #include "core/cds.hpp"
 #include "core/enum_names.hpp"
 #include "core/metrics.hpp"
-#include "core/rule_k.hpp"
 #include "core/verify.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "io/dot.hpp"
@@ -223,7 +222,9 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   if (scheme == "RULEK") {
     const auto key = option_enum<KeyKind>(parser, "key", err);
     if (!key) return 2;
-    result = compute_cds_rule_k(g, *key, energy, *strategy);
+    result = compute_cds_custom(
+        g, *key, RuleConfig{.use_rule_k = true, .strategy = *strategy},
+        energy);
   } else {
     const auto rs = option_enum<RuleSet>(parser, "scheme", err);
     if (!rs) return 2;
@@ -594,9 +595,10 @@ int run_set_size_study(const std::vector<int>& hosts, std::size_t trials,
       const Graph g =
           build_links(positions, kPaperRadius, LinkModel::kUnitDisk);
       const CdsResult r2 = compute_cds(g, RuleSet::kID, {}, options, ctx);
-      const CdsResult rk = compute_cds_rule_k(
-          g, KeyKind::kId, {}, Strategy::kSimultaneous, CliquePolicy::kNone,
-          ctx);
+      const CdsResult rk = compute_cds_custom(
+          g, KeyKind::kId,
+          RuleConfig{.use_rule_k = true, .strategy = Strategy::kSimultaneous},
+          {}, CliquePolicy::kNone, ctx);
       marked += static_cast<double>(r2.marked_count);
       rule2 += static_cast<double>(r2.gateway_count);
       rulek += static_cast<double>(rk.gateway_count);

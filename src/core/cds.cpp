@@ -6,15 +6,9 @@
 
 namespace pacds {
 
-bool uses_energy(RuleSet rs) {
-  return rs == RuleSet::kEL1 || rs == RuleSet::kEL2 || rs == RuleSet::kSEL;
-}
+bool uses_energy(RuleSet rs) { return uses_energy(key_kind_of(rs)); }
 
-bool uses_stability(RuleSet rs) { return rs == RuleSet::kSEL; }
-
-bool uses_stability(KeyKind kind) {
-  return kind == KeyKind::kStabilityEnergyId;
-}
+bool uses_stability(RuleSet rs) { return uses_stability(key_kind_of(rs)); }
 
 KeyKind key_kind_of(RuleSet rs) {
   switch (rs) {
@@ -55,9 +49,7 @@ void compute_cds_custom_into(const Graph& g, KeyKind kind,
                              const ExecContext& ctx,
                              const std::vector<double>& stability,
                              CdsResult& out) {
-  const bool needs_energy = kind == KeyKind::kEnergyId ||
-                            kind == KeyKind::kEnergyDegreeId ||
-                            kind == KeyKind::kStabilityEnergyId;
+  const bool needs_energy = uses_energy(kind);
   if (needs_energy &&
       energy.size() != static_cast<std::size_t>(g.num_nodes())) {
     throw std::invalid_argument(

@@ -50,7 +50,6 @@ constexpr auto enum_names(RuleSet) {
 
 /// True iff the scheme's priority key reads the per-node stability estimate.
 [[nodiscard]] bool uses_stability(RuleSet rs);
-[[nodiscard]] bool uses_stability(KeyKind kind);
 
 /// Key kind used by a scheme (meaningless for kNR, which applies no rules;
 /// returns kId there so clique election still has a total order).
@@ -101,7 +100,10 @@ struct CdsResult {
                                     const ExecContext& ctx = {},
                                     const std::vector<double>& stability = {});
 
-/// Fully custom variant: any key kind + rule configuration.
+/// Fully custom variant: any key kind + rule configuration, the pairwise
+/// rules or Rule k (RuleConfig::use_rule_k). compute_cds is this call with
+/// the scheme's key and rules: one from-scratch pipeline of marking,
+/// apply_rules and the clique policy.
 [[nodiscard]] CdsResult compute_cds_custom(
     const Graph& g, KeyKind kind, const RuleConfig& config,
     const std::vector<double>& energy = {},

@@ -6,14 +6,20 @@
 
 namespace pacds {
 
+bool uses_energy(KeyKind kind) {
+  return kind == KeyKind::kEnergyId || kind == KeyKind::kEnergyDegreeId ||
+         kind == KeyKind::kStabilityEnergyId;
+}
+
+bool uses_stability(KeyKind kind) {
+  return kind == KeyKind::kStabilityEnergyId;
+}
+
 PriorityKey::PriorityKey(KeyKind kind, const Graph& graph,
                          const std::vector<double>* energy,
                          const std::vector<double>* stability)
     : kind_(kind), graph_(&graph), energy_(energy), stability_(stability) {
-  const bool needs_energy = kind == KeyKind::kEnergyId ||
-                            kind == KeyKind::kEnergyDegreeId ||
-                            kind == KeyKind::kStabilityEnergyId;
-  if (needs_energy) {
+  if (uses_energy(kind)) {
     if (energy_ == nullptr) {
       throw std::invalid_argument(
           "PriorityKey: energy vector required for energy-based keys");

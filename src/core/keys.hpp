@@ -50,6 +50,12 @@ constexpr auto enum_names(KeyKind) {
        {KeyKind::kStabilityEnergyId, "SEL"}});
 }
 
+/// True iff the key chain reads node energy levels (EL1, EL2, SEL).
+[[nodiscard]] bool uses_energy(KeyKind kind);
+
+/// True iff the key chain reads the per-node stability estimate (SEL).
+[[nodiscard]] bool uses_stability(KeyKind kind);
+
 /// Strict-total-order comparator over the nodes of one graph snapshot.
 ///
 /// Holds non-owning views of the graph (for degrees) and the energy vector;

@@ -52,15 +52,9 @@ void marking_process_into(const Graph& g, const ExecContext& ctx,
   run_sharded(ctx.executor, n, DynBitset::kWordBits, body);
 }
 
-void marking_process_into(const Graph& g, Executor* exec, DynBitset& marked) {
-  ExecContext ctx;
-  ctx.executor = exec;
-  marking_process_into(g, ctx, marked);
-}
-
 DynBitset marking_process(const Graph& g) {
   DynBitset marked;
-  marking_process_into(g, nullptr, marked);
+  marking_process_into(g, ExecContext{}, marked);
   return marked;
 }
 

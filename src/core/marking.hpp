@@ -22,16 +22,13 @@ namespace pacds {
 [[nodiscard]] DynBitset marking_process(const Graph& g);
 
 /// Allocation-conscious variant: resizes/clears `marked` and fills it with
-/// the marking-process output, sharding the node range across `exec` when
-/// non-null. Each node's decision reads only the graph, so the result is
-/// bit-identical to the serial pass for every executor (shards write
-/// disjoint 64-bit words of `marked`).
-void marking_process_into(const Graph& g, Executor* exec, DynBitset& marked);
-
-/// As above with a full execution context: when `ctx.workspace` is present
-/// and the graph is small enough, the pass runs against the workspace's
-/// DenseAdjacency rows (word-parallel subset tests) instead of CSR merge
-/// scans — bit-identical either way.
+/// the marking-process output, sharding the node range across
+/// `ctx.executor` when non-null. Each node's decision reads only the graph,
+/// so the result is bit-identical to the serial pass for every executor
+/// (shards write disjoint 64-bit words of `marked`). When `ctx.workspace`
+/// is present and the graph is small enough, the pass runs against the
+/// workspace's DenseAdjacency rows (word-parallel subset tests) instead of
+/// CSR merge scans — bit-identical either way.
 void marking_process_into(const Graph& g, const ExecContext& ctx,
                           DynBitset& marked);
 

@@ -99,10 +99,10 @@ struct DenseRule2Env {
   }
 };
 
-/// Dense-row twin of rule2_{simple,refined}_would_unmark (v already known
-/// marked). Decision-identical to the merge-based predicates: the pair
-/// decision is existential, and each pair sees the same coverage tests and
-/// refined case analysis.
+/// Dense-row twin of rule2_would_unmark (v already known marked).
+/// Decision-identical to the merge-based predicate: the pair decision is
+/// existential, and each pair sees the same coverage tests and refined case
+/// analysis.
 bool rule2_dense_would_unmark(const Graph& g, const DenseAdjacency& dense,
                               const DynBitset& marked, const PriorityKey& key,
                               Rule2Form form, NodeId v,
@@ -116,10 +116,89 @@ bool rule2_dense_would_unmark(const Graph& g, const DenseAdjacency& dense,
                              form == Rule2Form::kSimple, lane);
 }
 
-/// Syncs the workspace dense cache against `g` and returns it when usable.
-const DenseAdjacency* synced_dense(const ExecContext& ctx, const Graph& g) {
-  if (ctx.workspace == nullptr) return nullptr;
-  return ctx.workspace->dense.sync(g) ? &ctx.workspace->dense : nullptr;
+/// Syncs the workspace dense cache against `g` and returns it when usable
+/// (null without a workspace: the merge predicates run instead).
+const DenseAdjacency* synced_dense(CdsWorkspace* ws, const Graph& g) {
+  return ws != nullptr && ws->dense.sync(g) ? &ws->dense : nullptr;
+}
+
+/// One simultaneous pass: `fires(v, lane)` is evaluated for every marked v
+/// against the frozen input `marked`, and the nodes that fire are cleared
+/// in `next`. Decisions read only frozen state, so the node range is split
+/// across `exec` in word-aligned shards (each clears bits inside its own
+/// words of `next`) and the result is bit-identical to the serial pass for
+/// any thread count. Callers pick `fires` once per pass.
+template <class Fires>
+void sharded_pass(const DynBitset& marked, Executor* exec, DynBitset& next,
+                  const Fires& fires) {
+  next = marked;
+  auto body = [&](std::size_t begin, std::size_t end, std::size_t lane) {
+    marked.for_each_set_in_range(begin, end, [&](std::size_t i) {
+      if (fires(static_cast<NodeId>(i), lane)) next.reset(i);
+    });
+  };
+  run_sharded(exec, marked.size(), DynBitset::kWordBits, body);
+}
+
+/// One sweep in ascending key order, each removal taking effect at once.
+/// No second sweep can remove anything: whether v fires depends on the
+/// marked set only through v's marked neighbors (the coverage tests read
+/// the graph and the keys), so it is monotone in that set, and so is
+/// removal_is_safe; marks only shrink, so a node that did not fire — or was
+/// unsafe — when visited never becomes removable later. Callers pick
+/// `fires` once per sweep.
+template <class Fires>
+void sweep(const Graph& g, const std::vector<NodeId>& order, bool verified,
+           DynBitset& marked, const Fires& fires) {
+  for (const NodeId v : order) {
+    if (!marked.test(static_cast<std::size_t>(v)) || !fires(v)) continue;
+    if (verified && !removal_is_safe(g, marked, v)) continue;
+    marked.reset(static_cast<std::size_t>(v));
+  }
+}
+
+/// The sequential and verified strategies: one sweep with the configured
+/// removal test.
+void apply_sequential(const Graph& g, const PriorityKey& key,
+                      const RuleConfig& config, CdsWorkspace& ws,
+                      DynBitset& marked) {
+  const bool verified = config.strategy == Strategy::kVerified;
+  const DenseAdjacency* dense = synced_dense(&ws, g);
+  key.ascending_order_into(ws.order);
+  if (config.use_rule_k) {
+    sweep(g, ws.order, verified, marked, [&](NodeId v) {
+      return rule_k_would_unmark(g, marked, key, v, dense);
+    });
+    return;
+  }
+  ws.reserve_lanes(1);
+  std::vector<NodeId>& scratch = ws.lane_neighbors[0];
+  CdsWorkspace::Rule2Lane& resid = ws.lane_residuals[0];
+  const bool rule1 = config.use_rule1;
+  const bool rule2 = config.use_rule2;
+  const Rule2Form form = config.rule2_form;
+  if (dense != nullptr) {
+    sweep(g, ws.order, verified, marked, [&](NodeId v) {
+      return (rule1 && rule1_dense_would_unmark(g, *dense, marked, key, v)) ||
+             (rule2 && rule2_dense_would_unmark(g, *dense, marked, key, form,
+                                                v, scratch, resid));
+    });
+  } else {
+    sweep(g, ws.order, verified, marked, [&](NodeId v) {
+      return (rule1 && rule1_would_unmark(g, marked, key, v)) ||
+             (rule2 && rule2_would_unmark(g, marked, key, form, v, scratch));
+    });
+  }
+}
+
+/// Workspace for the convenience (context-free) pass entry points. Without
+/// it every call would rebuild the version-keyed dense row cache from
+/// scratch, defeating its "repeated passes over an unchanged graph pay the
+/// build exactly once" contract; a thread-local keeps the wrappers pure
+/// while letting back-to-back passes hit the cache.
+CdsWorkspace& convenience_workspace() {
+  static thread_local CdsWorkspace ws;
+  return ws;
 }
 
 }  // namespace
@@ -135,58 +214,29 @@ bool rule2_refined_cases(const PriorityKey& key, NodeId v, NodeId u, NodeId w,
   return key.less(v, u) && key.less(v, w);
 }
 
-bool rule2_simple_would_unmark(const Graph& g, const DynBitset& marked,
-                               const PriorityKey& key, NodeId v,
-                               std::vector<NodeId>& scratch) {
-  if (!marked.test(static_cast<std::size_t>(v))) return false;
-  marked_neighbors(g, marked, v, scratch);
-  for (std::size_t i = 0; i < scratch.size(); ++i) {
-    for (std::size_t j = i + 1; j < scratch.size(); ++j) {
-      const NodeId u = scratch[i];
-      const NodeId w = scratch[j];
-      if (!key.is_min_of_three(v, u, w)) continue;
-      if (g.open_covered_by_pair(v, u, w)) return true;
-    }
-  }
-  return false;
-}
-
-bool rule2_refined_would_unmark(const Graph& g, const DynBitset& marked,
-                                const PriorityKey& key, NodeId v,
-                                std::vector<NodeId>& scratch) {
-  if (!marked.test(static_cast<std::size_t>(v))) return false;
-  marked_neighbors(g, marked, v, scratch);
-  for (std::size_t i = 0; i < scratch.size(); ++i) {
-    for (std::size_t j = i + 1; j < scratch.size(); ++j) {
-      const NodeId u = scratch[i];
-      const NodeId w = scratch[j];
-      if (!g.open_covered_by_pair(v, u, w)) continue;
-      const bool cov_u = g.open_covered_by_pair(u, v, w);
-      const bool cov_w = g.open_covered_by_pair(w, u, v);
-      if (rule2_refined_cases(key, v, u, w, cov_u, cov_w)) return true;
-    }
-  }
-  return false;
-}
-
-bool rule2_simple_would_unmark(const Graph& g, const DynBitset& marked,
-                               const PriorityKey& key, NodeId v) {
-  std::vector<NodeId> scratch;
-  return rule2_simple_would_unmark(g, marked, key, v, scratch);
-}
-
-bool rule2_refined_would_unmark(const Graph& g, const DynBitset& marked,
-                                const PriorityKey& key, NodeId v) {
-  std::vector<NodeId> scratch;
-  return rule2_refined_would_unmark(g, marked, key, v, scratch);
-}
-
 bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
                         const PriorityKey& key, Rule2Form form, NodeId v,
                         std::vector<NodeId>& scratch) {
-  return form == Rule2Form::kSimple
-             ? rule2_simple_would_unmark(g, marked, key, v, scratch)
-             : rule2_refined_would_unmark(g, marked, key, v, scratch);
+  if (!marked.test(static_cast<std::size_t>(v))) return false;
+  marked_neighbors(g, marked, v, scratch);
+  const bool simple = form == Rule2Form::kSimple;
+  for (std::size_t i = 0; i < scratch.size(); ++i) {
+    for (std::size_t j = i + 1; j < scratch.size(); ++j) {
+      const NodeId u = scratch[i];
+      const NodeId w = scratch[j];
+      if (simple) {
+        if (key.is_min_of_three(v, u, w) && g.open_covered_by_pair(v, u, w)) {
+          return true;
+        }
+      } else if (g.open_covered_by_pair(v, u, w) &&
+                 rule2_refined_cases(key, v, u, w,
+                                     g.open_covered_by_pair(u, v, w),
+                                     g.open_covered_by_pair(w, u, v))) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
@@ -195,71 +245,110 @@ bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
   return rule2_would_unmark(g, marked, key, form, v, scratch);
 }
 
-void simultaneous_rule1_pass_into(const Graph& g, const PriorityKey& key,
-                                  const DynBitset& marked,
-                                  const ExecContext& ctx, DynBitset& next) {
-  next = marked;
-  const DenseAdjacency* dense = synced_dense(ctx, g);
-  auto body = [&](std::size_t begin, std::size_t end, std::size_t /*lane*/) {
-    marked.for_each_set_in_range(begin, end, [&](std::size_t i) {
-      const auto v = static_cast<NodeId>(i);
-      const bool fires =
-          dense != nullptr ? rule1_dense_would_unmark(g, *dense, marked, key, v)
-                           : rule1_would_unmark(g, marked, key, v);
-      if (fires) next.reset(i);
-    });
+bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
+                         const PriorityKey& key, NodeId v,
+                         const DenseAdjacency* dense) {
+  if (!marked.test(static_cast<std::size_t>(v))) return false;
+  // Candidate covers: marked neighbors with strictly higher priority.
+  std::vector<NodeId> cands;
+  for (const NodeId u : g.neighbors(v)) {
+    if (marked.test(static_cast<std::size_t>(u)) && key.less(v, u)) {
+      cands.push_back(u);
+    }
+  }
+  if (cands.empty()) return false;
+
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  // Union-find over the candidate list: candidates are connected iff
+  // adjacent in G (edges among N(v) are exactly what v's 2-hop info holds).
+  std::vector<std::size_t> parent(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) parent[i] = i;
+  const auto find = [&parent](std::size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
   };
-  run_sharded(ctx.executor, marked.size(), DynBitset::kWordBits, body);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    for (std::size_t j = i + 1; j < cands.size(); ++j) {
+      const bool adjacent =
+          dense != nullptr
+              ? dense->row(cands[i]).test(static_cast<std::size_t>(cands[j]))
+              : g.has_edge(cands[i], cands[j]);
+      if (adjacent) parent[find(i)] = find(j);
+    }
+  }
+  // Per component, union the CLOSED neighborhoods and test coverage of
+  // N(v). Closed unions make the |S| = 1 case equal Rule 1 (N[v] ⊆ N[u]);
+  // for |S| >= 2 they coincide with the open unions because a connected S
+  // has every member inside some other member's neighborhood.
+  std::vector<DynBitset> unions(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const std::size_t root = find(i);
+    if (unions[root].size() == 0) unions[root] = DynBitset(n);
+    if (dense != nullptr) {
+      unions[root] |= dense->row(cands[i]);
+    } else {
+      for (const NodeId x : g.neighbors(cands[i])) {
+        unions[root].set(static_cast<std::size_t>(x));
+      }
+    }
+    unions[root].set(static_cast<std::size_t>(cands[i]));
+  }
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    if (find(i) != i) continue;  // not a component root
+    if (dense != nullptr) {
+      if (dense->row(v).is_subset_of(unions[i])) return true;
+      continue;
+    }
+    bool covered = true;
+    for (const NodeId x : g.neighbors(v)) {
+      if (!unions[i].test(static_cast<std::size_t>(x))) {
+        covered = false;
+        break;
+      }
+    }
+    if (covered) return true;
+  }
+  return false;
 }
 
 void simultaneous_rule1_pass_into(const Graph& g, const PriorityKey& key,
-                                  const DynBitset& marked, Executor* exec,
-                                  DynBitset& next) {
-  ExecContext ctx;
-  ctx.executor = exec;
-  simultaneous_rule1_pass_into(g, key, marked, ctx, next);
+                                  const DynBitset& marked,
+                                  const ExecContext& ctx, DynBitset& next) {
+  const DenseAdjacency* dense = synced_dense(ctx.workspace, g);
+  if (dense != nullptr) {
+    sharded_pass(marked, ctx.executor, next, [&](NodeId v, std::size_t) {
+      return rule1_dense_would_unmark(g, *dense, marked, key, v);
+    });
+  } else {
+    sharded_pass(marked, ctx.executor, next, [&](NodeId v, std::size_t) {
+      return rule1_would_unmark(g, marked, key, v);
+    });
+  }
 }
 
 void simultaneous_rule2_pass_into(const Graph& g, const PriorityKey& key,
                                   Rule2Form form, const DynBitset& marked,
                                   const ExecContext& ctx, DynBitset& next) {
-  next = marked;
-  const std::size_t lanes = ctx.lanes();
   CdsWorkspace local;
   CdsWorkspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
-  if (ws.lane_neighbors.size() < lanes) ws.lane_neighbors.resize(lanes);
-  if (ws.lane_residuals.size() < lanes) ws.lane_residuals.resize(lanes);
-  const DenseAdjacency* dense =
-      ws.dense.sync(g) ? &ws.dense : nullptr;
-  auto body = [&](std::size_t begin, std::size_t end, std::size_t lane) {
-    std::vector<NodeId>& scratch = ws.lane_neighbors[lane];
-    CdsWorkspace::Rule2Lane& resid = ws.lane_residuals[lane];
-    marked.for_each_set_in_range(begin, end, [&](std::size_t i) {
-      const auto v = static_cast<NodeId>(i);
-      const bool fires =
-          dense != nullptr
-              ? rule2_dense_would_unmark(g, *dense, marked, key, form, v,
-                                         scratch, resid)
-              : rule2_would_unmark(g, marked, key, form, v, scratch);
-      if (fires) next.reset(i);
+  ws.reserve_lanes(ctx.lanes());
+  const DenseAdjacency* dense = synced_dense(ctx.workspace, g);
+  if (dense != nullptr) {
+    sharded_pass(marked, ctx.executor, next, [&](NodeId v, std::size_t lane) {
+      return rule2_dense_would_unmark(g, *dense, marked, key, form, v,
+                                      ws.lane_neighbors[lane],
+                                      ws.lane_residuals[lane]);
     });
-  };
-  run_sharded(ctx.executor, marked.size(), DynBitset::kWordBits, body);
+  } else {
+    sharded_pass(marked, ctx.executor, next, [&](NodeId v, std::size_t lane) {
+      return rule2_would_unmark(g, marked, key, form, v,
+                                ws.lane_neighbors[lane]);
+    });
+  }
 }
-
-namespace {
-
-/// Workspace for the convenience (context-free) pass entry points. Without
-/// it every call would rebuild the version-keyed dense row cache from
-/// scratch, defeating its "repeated passes over an unchanged graph pay the
-/// build exactly once" contract; a thread-local keeps the wrappers pure
-/// while letting back-to-back passes hit the cache.
-CdsWorkspace& convenience_workspace() {
-  static thread_local CdsWorkspace ws;
-  return ws;
-}
-
-}  // namespace
 
 DynBitset simultaneous_rule1_pass(const Graph& g, const PriorityKey& key,
                                   const DynBitset& marked) {
@@ -279,73 +368,37 @@ DynBitset simultaneous_rule2_pass(const Graph& g, const PriorityKey& key,
   return next;
 }
 
-namespace {
-
-/// One sweep in ascending key order, each removal taking effect at once.
-/// No second sweep can remove anything: whether v fires depends on the
-/// marked set only through v's marked neighbors (the coverage tests read
-/// the graph and the keys), so it is monotone in that set, and so is
-/// removal_is_safe; marks only shrink, so a node that did not fire — or was
-/// unsafe — when visited never becomes removable later.
-void apply_sequential(const Graph& g, const PriorityKey& key,
-                      const RuleConfig& config, bool verified,
-                      CdsWorkspace& ws, DynBitset& marked) {
-  if (ws.lane_neighbors.empty()) ws.lane_neighbors.resize(1);
-  if (ws.lane_residuals.empty()) ws.lane_residuals.resize(1);
-  std::vector<NodeId>& scratch = ws.lane_neighbors[0];
-  CdsWorkspace::Rule2Lane& resid = ws.lane_residuals[0];
-  const DenseAdjacency* dense = ws.dense.sync(g) ? &ws.dense : nullptr;
-  const auto fires = [&](NodeId v) {
-    if (dense != nullptr) {
-      return (config.use_rule1 &&
-              rule1_dense_would_unmark(g, *dense, marked, key, v)) ||
-             (config.use_rule2 &&
-              rule2_dense_would_unmark(g, *dense, marked, key,
-                                       config.rule2_form, v, scratch, resid));
-    }
-    return (config.use_rule1 && rule1_would_unmark(g, marked, key, v)) ||
-           (config.use_rule2 && rule2_would_unmark(g, marked, key,
-                                                   config.rule2_form, v,
-                                                   scratch));
-  };
-  key.ascending_order_into(ws.order);
-  for (const NodeId v : ws.order) {
-    if (!marked.test(static_cast<std::size_t>(v)) || !fires(v)) continue;
-    if (verified && !removal_is_safe(g, marked, v)) continue;
-    marked.reset(static_cast<std::size_t>(v));
-  }
-}
-
-}  // namespace
-
 void apply_rules(const Graph& g, const PriorityKey& key,
                  const RuleConfig& config, const ExecContext& ctx,
                  DynBitset& marked) {
   CdsWorkspace local;
   CdsWorkspace& ws = ctx.workspace != nullptr ? *ctx.workspace : local;
-  switch (config.strategy) {
-    case Strategy::kSimultaneous: {
-      ExecContext pass_ctx = ctx;
-      pass_ctx.workspace = &ws;
-      // Stage double-buffering: build the next mark set in ws.stage, then
-      // swap buffers — no per-pass bitset allocation once ws is warm.
-      if (config.use_rule1) {
-        simultaneous_rule1_pass_into(g, key, marked, pass_ctx, ws.stage);
-        std::swap(marked, ws.stage);
-      }
-      if (config.use_rule2) {
-        simultaneous_rule2_pass_into(g, key, config.rule2_form, marked,
-                                     pass_ctx, ws.stage);
-        std::swap(marked, ws.stage);
-      }
-      return;
-    }
-    case Strategy::kSequential:
-      apply_sequential(g, key, config, /*verified=*/false, ws, marked);
-      return;
-    case Strategy::kVerified:
-      apply_sequential(g, key, config, /*verified=*/true, ws, marked);
-      return;
+  if (config.strategy != Strategy::kSimultaneous) {
+    apply_sequential(g, key, config, ws, marked);
+    return;
+  }
+  ExecContext pass_ctx = ctx;
+  pass_ctx.workspace = &ws;
+  // Stage double-buffering: build the next mark set in ws.stage, then swap
+  // buffers — no per-pass bitset allocation once ws is warm.
+  if (config.use_rule_k) {
+    // One pass is the distributed semantics. Rule k's safety would permit
+    // iterating to a fixpoint too, but the distributed algorithm runs once.
+    const DenseAdjacency* dense = synced_dense(&ws, g);
+    sharded_pass(marked, ctx.executor, ws.stage, [&](NodeId v, std::size_t) {
+      return rule_k_would_unmark(g, marked, key, v, dense);
+    });
+    std::swap(marked, ws.stage);
+    return;
+  }
+  if (config.use_rule1) {
+    simultaneous_rule1_pass_into(g, key, marked, pass_ctx, ws.stage);
+    std::swap(marked, ws.stage);
+  }
+  if (config.use_rule2) {
+    simultaneous_rule2_pass_into(g, key, config.rule2_form, marked, pass_ctx,
+                                 ws.stage);
+    std::swap(marked, ws.stage);
   }
 }
 

@@ -17,6 +17,17 @@
 // the covered competitor is u); we evaluate both orderings of the pair,
 // which is exactly what a distributed node iterating over all its
 // marked-neighbor pairs would do, and matches the paper's worked example.
+//
+// Rule k (Dai & Wu 2004) is the follow-up that fixes the pairwise rules'
+// unsafe simultaneous case and subsumes Rules 1 and 2 in their key-guarded
+// forms: a marked node v unmarks itself when its open neighborhood is
+// covered by the union of neighborhoods of a CONNECTED set of marked
+// neighbors that all have strictly HIGHER priority. Because every remover
+// defers to strictly higher-priority covers, even simultaneous application
+// is safe — the priority-maximal cover chain always survives. It is one
+// more removal test in the same pipeline (RuleConfig::use_rule_k), run
+// under every strategy; with the energy keys it is the power-aware variant
+// bench/extension_rule_k measures.
 
 #include <cstdint>
 #include <string>
@@ -80,6 +91,9 @@ struct RuleConfig {
   bool use_rule1 = true;
   bool use_rule2 = true;
   Rule2Form rule2_form = Rule2Form::kRefined;
+  /// Rule k in place of Rules 1 and 2 (the three fields above are then
+  /// ignored).
+  bool use_rule_k = false;
   Strategy strategy = Strategy::kSequential;
 };
 
@@ -98,36 +112,25 @@ struct RuleConfig {
                                        NodeId u, NodeId w, bool cov_u,
                                        bool cov_w);
 
-[[nodiscard]] bool rule2_simple_would_unmark(const Graph& g,
-                                             const DynBitset& marked,
-                                             const PriorityKey& key, NodeId v);
-
-[[nodiscard]] bool rule2_refined_would_unmark(const Graph& g,
-                                              const DynBitset& marked,
-                                              const PriorityKey& key,
-                                              NodeId v);
-
+/// Rule 2 in either form. `scratch` receives v's marked neighbors (contents
+/// clobbered), so per-node evaluation in hot loops allocates nothing; the
+/// overload without it uses a local buffer.
+[[nodiscard]] bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
+                                      const PriorityKey& key, Rule2Form form,
+                                      NodeId v, std::vector<NodeId>& scratch);
 [[nodiscard]] bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
                                       const PriorityKey& key, Rule2Form form,
                                       NodeId v);
 
-// Scratch-buffer variants for hot loops: `scratch` receives v's marked
-// neighbors (contents clobbered), so per-node evaluation allocates nothing.
-// The plain overloads above delegate here with a local buffer.
-
-[[nodiscard]] bool rule2_simple_would_unmark(const Graph& g,
-                                             const DynBitset& marked,
-                                             const PriorityKey& key, NodeId v,
-                                             std::vector<NodeId>& scratch);
-
-[[nodiscard]] bool rule2_refined_would_unmark(const Graph& g,
-                                              const DynBitset& marked,
-                                              const PriorityKey& key, NodeId v,
-                                              std::vector<NodeId>& scratch);
-
-[[nodiscard]] bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
-                                      const PriorityKey& key, Rule2Form form,
-                                      NodeId v, std::vector<NodeId>& scratch);
+/// Rule k: true iff marked node v is covered by a connected set of
+/// higher-priority marked neighbors. Checks each connected component of the
+/// induced subgraph on {u ∈ N(v) : marked(u), key(v) < key(u)} — taking a
+/// whole component is the maximal connected candidate, so no subset search
+/// is needed. With `dense` rows the component unions and the coverage test
+/// run word-parallel instead of per-bit; decisions are identical.
+[[nodiscard]] bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
+                                       const PriorityKey& key, NodeId v,
+                                       const DenseAdjacency* dense = nullptr);
 
 // ---- Whole-graph passes --------------------------------------------------
 
@@ -144,30 +147,30 @@ struct RuleConfig {
                                                 const DynBitset& marked);
 
 // Sharded/in-place variants. Every decision is evaluated against the frozen
-// input `marked`, so the node range can be split across executor workers and
+// input `marked`, so the node range can be split across `ctx.executor` and
 // the committed result is bit-identical to the serial pass for any thread
 // count (shards only clear bits inside their own word-aligned range of
 // `next`). `next` receives the new mark set; reusing a warm buffer makes the
-// pass allocation-free.
+// pass allocation-free. When `ctx.workspace` carries an active
+// DenseAdjacency (small n), coverage runs word-parallel on cached rows; it
+// also provides Rule 2's per-lane marked-neighbor buffers (function-local
+// buffers when null).
 
-void simultaneous_rule1_pass_into(const Graph& g, const PriorityKey& key,
-                                  const DynBitset& marked, Executor* exec,
-                                  DynBitset& next);
-
-/// As above with a full context: when `ctx.workspace` carries an active
-/// DenseAdjacency (small n), coverage runs word-parallel on cached rows.
 void simultaneous_rule1_pass_into(const Graph& g, const PriorityKey& key,
                                   const DynBitset& marked,
                                   const ExecContext& ctx, DynBitset& next);
 
-/// Rule 2 needs a marked-neighbor buffer per concurrently running shard;
-/// `ctx.workspace` provides them keyed by executor lane (function-local
-/// buffers when null).
 void simultaneous_rule2_pass_into(const Graph& g, const PriorityKey& key,
                                   Rule2Form form, const DynBitset& marked,
                                   const ExecContext& ctx, DynBitset& next);
 
-/// Applies the configured rules to `marked` in place.
+/// Applies the configured rules to `marked` in place. The simultaneous
+/// strategy runs one pass per rule (Rule 1, then Rule 2 against the
+/// post-Rule-1 marks; or one Rule k pass). The sequential and verified
+/// strategies run one sweep in ascending key order, which is already the
+/// fixpoint (see Strategy::kSequential); under Rule k the verified
+/// strategy's per-removal check never vetoes, because Rule k removals are
+/// safe.
 void apply_rules(const Graph& g, const PriorityKey& key,
                  const RuleConfig& config, DynBitset& marked);
 

@@ -45,12 +45,11 @@ struct CdsWorkspace {
   /// on demand against Graph::version() (see dense.hpp).
   DenseAdjacency dense;
 
-  /// Ensures at least `lanes` neighbor buffers exist and `stage` ranges
-  /// over `nbits` bits (cleared). Allocation-free once warm at these sizes.
-  void prepare(std::size_t lanes, std::size_t nbits) {
+  /// Ensures per-lane buffers exist for at least `lanes` lanes.
+  /// Allocation-free once warm.
+  void reserve_lanes(std::size_t lanes) {
     if (lane_neighbors.size() < lanes) lane_neighbors.resize(lanes);
     if (lane_residuals.size() < lanes) lane_residuals.resize(lanes);
-    stage.resize_clear(nbits);
   }
 };
 

@@ -199,6 +199,20 @@ FuzzScenario random_scenario(std::uint64_t base_seed, std::uint64_t index) {
     case 2: s.serve_ticks = 3; break;
     default: s.serve_ticks = 7; break;
   }
+  // Rule dimension, drawn after everything else so every earlier field keeps
+  // its value: a custom key (any key chain, either Rule 2 form, a Rule k
+  // coin) overriding the scheme, and the clique election policy.
+  if (rng.bernoulli(0.3)) {
+    const auto keys = enum_names(KeyKind{});
+    const auto pick = rng.uniform_int(0, std::ssize(keys) - 1);
+    c.custom_key = keys[static_cast<std::size_t>(pick)].value;
+    c.custom_rule2_form =
+        rng.bernoulli(0.5) ? Rule2Form::kSimple : Rule2Form::kRefined;
+    c.use_rule_k = rng.bernoulli(0.5);
+  }
+  if (rng.bernoulli(0.2)) {
+    c.cds_options.clique_policy = CliquePolicy::kElectMaxKey;
+  }
   return s;
 }
 
@@ -219,7 +233,11 @@ std::string describe(const FuzzScenario& s) {
       << JsonWriter::format_double(s.config.energy_key_quantum) << " events="
       << resolve_schedule(s.faults).size()
       << (s.faults.channel.any() ? " channel=faulty" : "")
-      << " serve_ticks=" << s.serve_ticks;
+      << " serve_ticks=" << s.serve_ticks << " custom_key="
+      << (s.config.custom_key ? to_string(*s.config.custom_key) : "none")
+      << " rule2_form=" << to_string(s.config.custom_rule2_form)
+      << " rule_k=" << s.config.use_rule_k << " clique="
+      << to_string(s.config.cds_options.clique_policy);
   return out.str();
 }
 

@@ -505,17 +505,21 @@ int Server::run_unix_socket(const std::string& path) {
   }
 
   // One synchronous client at a time: read whatever is available, process
-  // the complete lines as one batch, write the records back. Admission
-  // control is inherent here — the kernel socket buffer is the queue and
-  // the client sees backpressure directly, so nothing is shed.
+  // the complete lines as one batch, write the records back. When the
+  // client half-closes, an unterminated remainder is its last request, as
+  // in stdin mode. Admission control is inherent here — the kernel socket
+  // buffer is the queue and the client sees backpressure directly, so
+  // nothing is shed.
   while (!shutdown_) {
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) break;
     std::string pending;
     char chunk[4096];
-    while (true) {
+    bool eof = false;
+    while (!eof) {
       const ssize_t got = ::read(client, chunk, sizeof(chunk));
-      if (got <= 0) break;
+      if (got < 0) break;
+      eof = got == 0;
       pending.append(chunk, static_cast<std::size_t>(got));
       std::vector<std::string> lines;
       std::size_t start = 0;
@@ -525,6 +529,7 @@ int Server::run_unix_socket(const std::string& path) {
         start = newline + 1;
       }
       pending.erase(0, start);
+      if (eof && !pending.empty()) lines.push_back(std::move(pending));
       if (lines.empty()) continue;
 
       std::ostringstream captured;

@@ -196,6 +196,11 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
       config.link_model != LinkModel::kUnitDisk) {
     in.fail("config.radio other than unit-disk requires link_model unit-disk");
   }
+  if (!config.custom_key &&
+      (config.use_rule_k || config.custom_rule2_form != Rule2Form::kRefined)) {
+    in.fail("config.use_rule_k and config.custom_rule2_form require "
+            "config.custom_key");
+  }
   if (config.radio_params.sigma_db < 0.0) {
     in.fail("config.radio_params.sigma_db must be >= 0");
   }

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "baselines/cds22.hpp"
-#include "core/rule_k.hpp"
 #include "core/verify.hpp"
 #include "net/geometric.hpp"
 #include "sim/tiled_engine.hpp"
@@ -47,14 +46,15 @@ void build_sim_links(const SimConfig& config, const RadioModel* radio,
 
 namespace {
 
-/// The pairwise rules a config runs: its scheme's, or both rules in the
-/// configured Rule 2 form under a custom key.
+/// The rules a config runs: its scheme's, or under a custom key both
+/// pairwise rules in the configured Rule 2 form, or Rule k.
 RuleConfig rules_of(const SimConfig& config) {
   if (!config.custom_key) {
     return rule_config_of(config.rule_set, config.cds_options.strategy);
   }
   RuleConfig rules;
   rules.rule2_form = config.custom_rule2_form;
+  rules.use_rule_k = config.use_rule_k;
   rules.strategy = config.cds_options.strategy;
   return rules;
 }
@@ -75,10 +75,7 @@ FullRebuildEngine::FullRebuildEngine(const SimConfig& config)
     }
     radio_.emplace(config_.radio, config_.radio_params, config_.radius);
   }
-  const bool wants_stability = config_.custom_key
-                                   ? uses_stability(*config_.custom_key)
-                                   : uses_stability(config_.rule_set);
-  if (wants_stability) {
+  if (uses_stability(kind_)) {
     tracker_.emplace(static_cast<std::size_t>(config_.n_hosts),
                      config_.stability_beta, config_.stability_quantum);
   }
@@ -130,16 +127,9 @@ void FullRebuildEngine::update(const std::vector<Vec2>& positions,
     const std::vector<double>& stability =
         tracker_ ? tracker_->stability() : no_stability;
     const ExecContext ctx{pool_ ? &*pool_ : nullptr, &workspace_, metrics_};
-    if (config_.custom_key && config_.use_rule_k) {
-      compute_cds_rule_k_into(graph_, kind_, keys,
-                              config_.cds_options.strategy,
-                              config_.cds_options.clique_policy, ctx,
-                              stability, cds_);
-    } else {
-      compute_cds_custom_into(graph_, kind_, rules_, keys,
-                              config_.cds_options.clique_policy, ctx,
-                              stability, cds_);
-    }
+    compute_cds_custom_into(graph_, kind_, rules_, keys,
+                            config_.cds_options.clique_policy, ctx, stability,
+                            cds_);
   });
 }
 

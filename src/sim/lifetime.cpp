@@ -24,6 +24,12 @@ const SimConfig& validated(const SimConfig& config) {
         "run_lifetime_trial: a non-unit-disk radio prunes unit-disk "
         "candidates and cannot compose with the gabriel/rng link models");
   }
+  if (!config.custom_key &&
+      (config.use_rule_k || config.custom_rule2_form != Rule2Form::kRefined)) {
+    throw std::invalid_argument(
+        "run_lifetime_trial: use_rule_k and custom_rule2_form apply only "
+        "under a custom_key");
+  }
   if (!(config.stability_beta >= 0.0) || !(config.stability_beta <= 1.0)) {
     throw std::invalid_argument(
         "run_lifetime_trial: stability_beta must be in [0, 1]");

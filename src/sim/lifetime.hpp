@@ -124,9 +124,11 @@ struct SimConfig {
   /// machinery fixed while swapping only the priority key (e.g. id-keyed
   /// refined rules vs. EL1, isolating the rotation effect).
   std::optional<KeyKind> custom_key;
+  /// Needs custom_key: a non-default form without one is rejected.
   Rule2Form custom_rule2_form = Rule2Form::kRefined;
   /// With custom_key set, use the generalized Rule k (Dai-Wu) instead of
-  /// the pairwise rules (custom_rule2_form is then ignored).
+  /// the pairwise rules (custom_rule2_form is then ignored). Needs
+  /// custom_key: the config parser and LifetimeRun reject it without one.
   bool use_rule_k = false;
 
   /// The paper treats energy as "multiple discrete levels": EL keys compare

@@ -291,6 +291,19 @@ TEST(ConfigJsonTest, RadioRequiresUnitDiskLinks) {
   EXPECT_THROW((void)from_json(to_json(c)), std::runtime_error);
 }
 
+TEST(ConfigJsonTest, RuleChoicesRequireACustomKey) {
+  // Without a custom key the scheme's own rules run: a Rule k or
+  // simple-form request would be ignored while the manifest reported it.
+  EXPECT_THROW((void)from_json(R"({"n":30,"scheme":"EL1","use_rule_k":true})"),
+               std::runtime_error);
+  EXPECT_THROW((void)from_json(R"({"custom_rule2_form":"simple"})"),
+               std::runtime_error);
+  const SimConfig parsed = from_json(
+      R"({"custom_key":"ND","custom_rule2_form":"simple","use_rule_k":true})");
+  EXPECT_TRUE(parsed.use_rule_k);
+  EXPECT_EQ(parsed.custom_rule2_form, Rule2Form::kSimple);
+}
+
 TEST(ConfigJsonTest, FadingSeedBeyondExactDoubleRangeFails) {
   // 2^53 + 2 is representable as a double but past the exact-integer range.
   EXPECT_THROW(

@@ -169,6 +169,21 @@ TEST(FuzzOracleTest, CleanOnGeneratedScenarios) {
   }
 }
 
+TEST(FuzzOracleTest, CliqueElectionOnACompleteSnapshotIsClean) {
+  // Every host in range of every other: the marking process marks nobody,
+  // and elect-max-key adds the one gateway the rules never could.
+  FuzzScenario s = random_scenario(1, 0);
+  s.config.n_hosts = 5;
+  s.config.radius = 200.0;
+  s.config.link_model = LinkModel::kUnitDisk;
+  s.config.radio = RadioKind::kUnitDisk;
+  s.config.cds_options.clique_policy = CliquePolicy::kElectMaxKey;
+  s.faults = FaultPlan{};
+  const std::vector<OracleFailure> failures = run_oracles(s);
+  EXPECT_TRUE(failures.empty())
+      << failures.front().oracle << ": " << failures.front().detail;
+}
+
 TEST(FuzzOracleTest, EveryMutationIsCaughtByItsOracle) {
   // For each mutation hook, scan for a scenario inside that oracle's domain
   // and require (a) the mutated run reports exactly that oracle and (b) the

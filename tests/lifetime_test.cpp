@@ -68,6 +68,23 @@ TEST(LifetimeTest, ZeroHostsThrows) {
   EXPECT_THROW((void)run_lifetime_trial(config, 1), std::invalid_argument);
 }
 
+TEST(LifetimeTest, RuleChoicesWithoutACustomKeyThrow) {
+  // Without a custom key the scheme's own rules run, so a Rule k or
+  // simple-form request would be silently ignored.
+  SimConfig config;
+  config.n_hosts = 12;
+  config.max_intervals = 5;
+  config.use_rule_k = true;
+  EXPECT_THROW((void)run_lifetime_trial(config, 1), std::invalid_argument);
+  config.use_rule_k = false;
+  config.custom_rule2_form = Rule2Form::kSimple;
+  EXPECT_THROW((void)run_lifetime_trial(config, 1), std::invalid_argument);
+  config.custom_key = KeyKind::kDegreeId;
+  EXPECT_NO_THROW((void)run_lifetime_trial(config, 1));
+  config.use_rule_k = true;
+  EXPECT_NO_THROW((void)run_lifetime_trial(config, 1));
+}
+
 TEST(LifetimeTest, SingleHostLivesForever) {
   // One host: no gateways, drains d' = 1 per interval -> dies at
   // initial_energy intervals exactly.

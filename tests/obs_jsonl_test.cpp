@@ -171,8 +171,8 @@ TEST_F(MetricsSchemaTest, IntervalRecordsCarryLiveCountersAndTimers) {
 }
 
 TEST_F(MetricsSchemaTest, RuleKIntervalsRecordMarkingAndRulesTime) {
-  // compute_cds_rule_k times its marking and rules phases like
-  // compute_cds_custom, so a custom-key Rule k run attributes its time.
+  // A custom-key Rule k run goes through compute_cds_custom, which times
+  // its marking and rules phases, so the run attributes its time.
   SimConfig config;
   config.n_hosts = 30;
   config.custom_key = KeyKind::kEnergyId;

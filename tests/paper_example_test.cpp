@@ -156,9 +156,9 @@ TEST(PaperCluster1, Rule2UnmarksNode2) {
   const Graph g = cluster1_graph();
   const PriorityKey key(KeyKind::kId, g);
   const DynBitset marked = marking_process(g);
-  EXPECT_TRUE(rule2_simple_would_unmark(g, marked, key, kNode2));
-  EXPECT_FALSE(rule2_simple_would_unmark(g, marked, key, kNode4));
-  EXPECT_FALSE(rule2_simple_would_unmark(g, marked, key, kNode9));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, kNode2));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, kNode4));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, kNode9));
 }
 
 TEST(PaperCluster1, Rule2aUnmarksNode9) {
@@ -169,9 +169,9 @@ TEST(PaperCluster1, Rule2aUnmarksNode9) {
   ASSERT_EQ(g.degree(kNode9), 7);
   const PriorityKey key(KeyKind::kDegreeId, g);
   const DynBitset marked = marking_process(g);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, kNode9));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, kNode2));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, kNode4));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode9));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode2));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode4));
 }
 
 TEST(PaperCluster1, Rule2bUnmarksNode2OnEqualEnergy) {
@@ -181,8 +181,8 @@ TEST(PaperCluster1, Rule2bUnmarksNode2OnEqualEnergy) {
   const std::vector<double> energy(11, 3.0);
   const PriorityKey key(KeyKind::kEnergyId, g, &energy);
   const DynBitset marked = marking_process(g);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, kNode2));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, kNode9));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode2));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode9));
 }
 
 TEST(PaperCluster1, Rule2bPrimeUnmarksNode9OnEqualEnergy) {
@@ -192,8 +192,8 @@ TEST(PaperCluster1, Rule2bPrimeUnmarksNode9OnEqualEnergy) {
   const std::vector<double> energy(11, 3.0);
   const PriorityKey key(KeyKind::kEnergyDegreeId, g, &energy);
   const DynBitset marked = marking_process(g);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, kNode9));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, kNode2));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode9));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, kNode2));
 }
 
 TEST(PaperCluster1, ResultsAreValidCds) {

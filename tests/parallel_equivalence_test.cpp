@@ -3,8 +3,8 @@
 // bit-identical to the serial computation, for every thread count, scheme,
 // and mobility regime. Two layers of coverage:
 //
-//   - direct compute_cds / compute_cds_custom / compute_cds_rule_k calls on
-//     random geometric graphs, serial vs. ThreadPool executors;
+//   - direct compute_cds / compute_cds_custom calls (the pairwise rules and
+//     Rule k) on random geometric graphs, serial vs. ThreadPool executors;
 //   - whole lifetime trials through SimConfig::threads, sweeping
 //     threads {1,2,3,8} x keys {ID,ND,EL1,EL2} x stay {0.5,0.95}, for both
 //     engines, comparing TrialResults and full per-interval traces.
@@ -21,7 +21,6 @@
 
 #include "core/cds.hpp"
 #include "core/incremental.hpp"
-#include "core/rule_k.hpp"
 #include "core/workspace.hpp"
 #include "net/rng.hpp"
 #include "net/space.hpp"
@@ -110,10 +109,12 @@ TEST(KernelEquivalenceTest, CustomKeyAndRuleKMatchSerial) {
         compute_cds_custom(inst.graph, kind, rc, inst.energy,
                            CliquePolicy::kNone, ctx),
         "custom key " + std::to_string(static_cast<int>(kind)));
+    const RuleConfig rk{.use_rule_k = true,
+                        .strategy = Strategy::kSimultaneous};
     expect_identical(
-        compute_cds_rule_k(inst.graph, kind, inst.energy),
-        compute_cds_rule_k(inst.graph, kind, inst.energy,
-                           Strategy::kSimultaneous, CliquePolicy::kNone, ctx),
+        compute_cds_custom(inst.graph, kind, rk, inst.energy),
+        compute_cds_custom(inst.graph, kind, rk, inst.energy,
+                           CliquePolicy::kNone, ctx),
         "rule k key " + std::to_string(static_cast<int>(kind)));
   }
 }

@@ -1,15 +1,16 @@
 // Tests for the generalized Rule k (Dai-Wu): coverage by connected sets of
 // higher-priority neighbors, safety under every strategy (including the
 // synchronous one the pairwise rules fail), and gadgets that only Rule k
-// can reduce.
-
-#include "core/rule_k.hpp"
+// can reduce. Rule k runs through the one rule pipeline
+// (RuleConfig::use_rule_k) like the pairwise rules.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <tuple>
 
+#include "core/cds.hpp"
+#include "core/rules.hpp"
 #include "core/verify.hpp"
 #include "net/rng.hpp"
 #include "net/topology.hpp"
@@ -21,6 +22,11 @@ namespace {
 using testing::complete_graph;
 using testing::figure1_graph;
 using testing::path_graph;
+
+/// Rule k in place of the pairwise rules, under `strategy`.
+RuleConfig rule_k(Strategy strategy) {
+  return RuleConfig{.use_rule_k = true, .strategy = strategy};
+}
 
 /// Three-cover gadget: v=0 adjacent to u1=1, u2=2, u3=3 forming a path
 /// 1-2-3 (connected), plus private leaves a=4 (on 1), b=5 (on 2), c=6
@@ -62,7 +68,7 @@ TEST(RuleKTest, TripleCoverOnlyRuleKRemoves) {
   const DynBitset marked = marking_process(g);
   const PriorityKey key(KeyKind::kId, g);
   // The pairwise Rule 2 cannot fire for node 0...
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 0));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 0));
   EXPECT_FALSE(rule1_would_unmark(g, marked, key, 0));
   // ...but the connected triple {1,2,3} (all higher id) covers it.
   EXPECT_TRUE(rule_k_would_unmark(g, marked, key, 0));
@@ -126,8 +132,8 @@ TEST(RuleKTest, SimultaneousPassIsSafeOnGadgets) {
   for (const Graph& g :
        {triple_cover_gadget(), figure1_graph(), path_graph(8)}) {
     const PriorityKey key(KeyKind::kId, g);
-    const DynBitset after =
-        simultaneous_rule_k_pass(g, key, marking_process(g));
+    DynBitset after = marking_process(g);
+    apply_rules(g, key, rule_k(Strategy::kSimultaneous), after);
     const CdsCheck check = check_cds(g, after);
     EXPECT_TRUE(check.ok()) << check.message;
   }
@@ -135,16 +141,17 @@ TEST(RuleKTest, SimultaneousPassIsSafeOnGadgets) {
 
 TEST(RuleKTest, ComputeApiValidatesEnergy) {
   const Graph g = path_graph(4);
-  EXPECT_THROW((void)compute_cds_rule_k(g, KeyKind::kEnergyId),
+  const RuleConfig config = rule_k(Strategy::kSimultaneous);
+  EXPECT_THROW((void)compute_cds_custom(g, KeyKind::kEnergyId, config),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)compute_cds_rule_k(g, KeyKind::kId));
+  EXPECT_NO_THROW((void)compute_cds_custom(g, KeyKind::kId, config));
 }
 
 TEST(RuleKTest, CliquePolicyApplied) {
   const Graph g = complete_graph(4);
-  const CdsResult r = compute_cds_rule_k(g, KeyKind::kId, {},
-                                         Strategy::kSimultaneous,
-                                         CliquePolicy::kElectMaxKey);
+  const CdsResult r =
+      compute_cds_custom(g, KeyKind::kId, rule_k(Strategy::kSimultaneous), {},
+                         CliquePolicy::kElectMaxKey);
   EXPECT_EQ(r.gateway_count, 1u);
 }
 
@@ -162,9 +169,11 @@ TEST_P(RuleKPropertyTest, AllStrategiesAndKeysSafe) {
   }
   for (const KeyKind kind : {KeyKind::kId, KeyKind::kDegreeId,
                              KeyKind::kEnergyId, KeyKind::kEnergyDegreeId}) {
-    for (const Strategy strategy :
-         {Strategy::kSimultaneous, Strategy::kSequential}) {
-      const CdsResult r = compute_cds_rule_k(g, kind, energy, strategy);
+    for (const Strategy strategy : {Strategy::kSimultaneous,
+                                    Strategy::kSequential,
+                                    Strategy::kVerified}) {
+      const CdsResult r =
+          compute_cds_custom(g, kind, rule_k(strategy), energy);
       const CdsCheck check = check_cds(g, r.gateways);
       // The headline property: Rule k is safe even under the SYNCHRONOUS
       // strategy where the pairwise refined rules fail ~30% of the time.
@@ -193,7 +202,7 @@ TEST_P(RuleKPropertyTest, SubsumesKeyGuardedPairwiseDecisions) {
     const PriorityKey key(kind, g);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (rule1_would_unmark(g, marked, key, v) ||
-          rule2_simple_would_unmark(g, marked, key, v)) {
+          rule2_would_unmark(g, marked, key, Rule2Form::kSimple, v)) {
         EXPECT_TRUE(rule_k_would_unmark(g, marked, key, v))
             << "node " << v << " key " << to_string(kind);
       }

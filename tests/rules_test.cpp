@@ -167,9 +167,10 @@ TEST(Rule2SimpleTest, MinIdUnmarks) {
   const Graph g = rule2_gadget();
   const PriorityKey key(KeyKind::kId, g);
   const DynBitset marked = marks_of(g);
-  EXPECT_TRUE(rule2_simple_would_unmark(g, marked, key, 0));
-  EXPECT_FALSE(rule2_simple_would_unmark(g, marked, key, 1));  // not min id
-  EXPECT_FALSE(rule2_simple_would_unmark(g, marked, key, 2));  // not covered
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, 0));
+  // Node 1 is not the min id; node 2 is not covered.
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, 2));
   const DynBitset after =
       simultaneous_rule2_pass(g, key, Rule2Form::kSimple, marked);
   EXPECT_FALSE(after.test(0));
@@ -184,7 +185,7 @@ TEST(Rule2SimpleTest, NeedsBothNeighborsMarked) {
   DynBitset partial(5);
   partial.set(0);
   partial.set(1);  // w=2 not marked
-  EXPECT_FALSE(rule2_simple_would_unmark(g, partial, key, 0));
+  EXPECT_FALSE(rule2_would_unmark(g, partial, key, Rule2Form::kSimple, 0));
 }
 
 TEST(Rule2SimpleTest, PathInteriorNotCovered) {
@@ -193,7 +194,7 @@ TEST(Rule2SimpleTest, PathInteriorNotCovered) {
   const PriorityKey key(KeyKind::kId, g);
   const DynBitset marked = marks_of(g);
   for (NodeId v = 0; v < 5; ++v) {
-    EXPECT_FALSE(rule2_simple_would_unmark(g, marked, key, v));
+    EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kSimple, v));
   }
 }
 
@@ -210,23 +211,23 @@ TEST(Rule2RefinedTest, Case1UnmarksRegardlessOfKey) {
   // covered.
   const std::vector<double> energy{99.0, 1.0, 1.0, 1.0, 1.0, 1.0};
   const PriorityKey key(KeyKind::kEnergyId, g, &energy);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, 0));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 1));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 2));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 0));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 2));
 }
 
 TEST(Rule2RefinedTest, Case2KeyDecidesBetweenCoveredPair) {
   const Graph g = rule2_gadget();  // v=0 and u=1 covered, w=2 not
   const DynBitset marked = marks_of(g);
   const PriorityKey id_key(KeyKind::kId, g);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, id_key, 0));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, id_key, 1));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, id_key, 2));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, id_key, Rule2Form::kRefined, 0));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, id_key, Rule2Form::kRefined, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, id_key, Rule2Form::kRefined, 2));
   // With energies favoring 0, node 1 yields instead.
   const std::vector<double> energy{9.0, 1.0, 5.0, 5.0, 5.0};
   const PriorityKey el_key(KeyKind::kEnergyId, g, &energy);
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, el_key, 0));
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, el_key, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, el_key, Rule2Form::kRefined, 0));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, el_key, Rule2Form::kRefined, 1));
 }
 
 TEST(Rule2RefinedTest, Case2SymmetricInPairOrder) {
@@ -242,8 +243,8 @@ TEST(Rule2RefinedTest, Case2SymmetricInPairOrder) {
   ASSERT_TRUE(marked.test(2));
   const PriorityKey key(KeyKind::kId, g);
   // v=1 is the min id of the covered pair {1, 2}; it yields, 2 stays.
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, 1));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 2));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 2));
 }
 
 TEST(Rule2RefinedTest, Case3StrictMinimumYields) {
@@ -251,9 +252,9 @@ TEST(Rule2RefinedTest, Case3StrictMinimumYields) {
   const DynBitset marked = marks_of(g);
   ASSERT_EQ(marked.count(), 3u);
   const PriorityKey key(KeyKind::kId, g);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, 0));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 1));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 2));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 0));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 2));
   const DynBitset after =
       simultaneous_rule2_pass(g, key, Rule2Form::kRefined, marked);
   EXPECT_EQ(after.count(), 2u);
@@ -265,9 +266,9 @@ TEST(Rule2RefinedTest, Case3EnergyMinimumYields) {
   const DynBitset marked = marks_of(g);
   const std::vector<double> energy{5.0, 2.0, 5.0, 5.0, 5.0};
   const PriorityKey key(KeyKind::kEnergyId, g, &energy);
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 0));
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, 1));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 2));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 0));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 2));
 }
 
 TEST(Rule2RefinedTest, Case3FullEnergyTieFallsToDegreeThenId) {
@@ -276,9 +277,9 @@ TEST(Rule2RefinedTest, Case3FullEnergyTieFallsToDegreeThenId) {
   // All energies equal; degrees of 0,1,2 equal too -> id decides (EL2 chain).
   const std::vector<double> energy(5, 7.0);
   const PriorityKey key(KeyKind::kEnergyDegreeId, g, &energy);
-  EXPECT_TRUE(rule2_refined_would_unmark(g, marked, key, 0));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 1));
-  EXPECT_FALSE(rule2_refined_would_unmark(g, marked, key, 2));
+  EXPECT_TRUE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 0));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 1));
+  EXPECT_FALSE(rule2_would_unmark(g, marked, key, Rule2Form::kRefined, 2));
 }
 
 // ---- Strategies and pipelines ---------------------------------------------

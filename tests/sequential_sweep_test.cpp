@@ -1,9 +1,9 @@
 // Single-sweep oracle for the sequential rule strategies. The library runs
-// kSequential / kVerified (and sequential Rule k) as ONE sweep in ascending
-// key order on the dense kernels; the historical implementation swept with
-// the merge predicates until nothing changed. Whether a node fires is
-// monotone in the marked set and marks only shrink, so the two must agree
-// exactly — this suite checks that against a test-local copy of the
+// kSequential / kVerified (pairwise rules and Rule k alike) as ONE sweep in
+// ascending key order on the dense kernels; the historical implementation
+// swept with the merge predicates until nothing changed. Whether a node
+// fires is monotone in the marked set and marks only shrink, so the two must
+// agree exactly — this suite checks that against a test-local copy of the
 // fixpoint loop built only from the public merge predicates, and checks
 // that one more sweep over the library's output unmarks nothing.
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/cds.hpp"
-#include "core/rule_k.hpp"
 #include "core/rules.hpp"
 #include "core/verify.hpp"
 #include "net/rng.hpp"
@@ -134,9 +133,12 @@ TEST_P(SequentialSweepTest, OneSweepEqualsTheFixpoint) {
               << "a second sweep unmarked nodes: seed " << seed << " "
               << describe(kind, strategy, form);
         }
-        // Rule k: the sweep is the same for kSequential and kVerified.
+        // Rule k: kVerified's per-removal check never vetoes a Rule k
+        // removal, so both strategies equal the unverified fixpoint.
         DynBitset marked = marking_process(g);
-        apply_rule_k(g, key, strategy, ctx, marked);
+        apply_rules(g, key,
+                    RuleConfig{.use_rule_k = true, .strategy = strategy}, ctx,
+                    marked);
         ASSERT_EQ(marked, rule_k_fixpoint(g, key))
             << "Rule k, seed " << seed << " " << to_string(kind) << "/"
             << to_string(strategy);
@@ -182,7 +184,9 @@ TEST(SequentialSweepTest, MergeFallbackAboveTheDenseLimit) {
   EXPECT_TRUE(check_cds(g, got.gateways).ok());
 
   DynBitset marked = marking_process(g);
-  apply_rule_k(g, key, Strategy::kSequential, ctx, marked);
+  apply_rules(g, key,
+              RuleConfig{.use_rule_k = true, .strategy = Strategy::kSequential},
+              ctx, marked);
   EXPECT_EQ(marked, rule_k_fixpoint(g, key));
 }
 

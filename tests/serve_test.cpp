@@ -1,16 +1,26 @@
 // Tests for the `pacds serve` layer: wire-protocol strictness, admission
-// control, tenant lifecycle (digest caching, LRU eviction, shutdown), and
-// the headline determinism claims — the serve path's metrics stream is
-// bit-identical to a standalone run, and the output bytes do not depend on
-// the server's --threads value.
+// control, tenant lifecycle (digest caching, LRU eviction, shutdown), the
+// socket transport, and the headline determinism claims — the serve path's
+// metrics stream is bit-identical to a standalone run, and the output bytes
+// do not depend on the server's --threads value.
 
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __unix__
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+#endif
 
 #include "io/json.hpp"
 #include "io/json_parse.hpp"
@@ -463,6 +473,88 @@ TEST(ServeServerTest, FullStreamPassesSchemaValidation) {
   EXPECT_EQ(result.count_of("serve_response"), 2u);
   EXPECT_EQ(result.count_of("serve_error"), 1u);
 }
+
+// ------------------------------------------------------------------ socket
+
+#ifdef __unix__
+
+/// Connects a client to the socket server at `path`, retrying while the
+/// server thread binds. -1 once the server has returned, or after ~5 s.
+int connect_to(const std::string& path, const std::atomic<bool>& server_done) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  for (int attempt = 0; attempt < 500 && !server_done; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends `text`, half-closes the connection and reads the reply to EOF.
+std::string send_and_half_close(int fd, const std::string& text) {
+  std::size_t sent = 0;
+  while (sent < text.size()) {
+    const ssize_t put = ::write(fd, text.data() + sent, text.size() - sent);
+    if (put <= 0) break;
+    sent += static_cast<std::size_t>(put);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char chunk[4096];
+  ssize_t got;
+  while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST(ServeSocketTest, HalfCloseAnswersTheUnterminatedLastRequest) {
+  // Stdin mode answers a final line without a newline; the socket mode
+  // must too when the client half-closes after it.
+  const std::string path =
+      "/tmp/pacds-serve-" + std::to_string(::getpid()) + ".sock";
+  std::ostringstream unused;
+  Server server(ServeOptions{}, unused);
+  std::atomic<bool> done{false};
+  int status = -1;
+  std::thread thread([&] {
+    status = server.run_unix_socket(path);
+    done = true;
+  });
+  std::string reply;
+  const int client = connect_to(path, done);
+  if (client >= 0) {
+    reply = send_and_half_close(
+        client,
+        R"({"op":"create","tenant":"a","config":{"n":8},"trials":1})"
+        "\n"
+        R"({"op":"status","tenant":"a"})");
+    const int closer = connect_to(path, done);
+    // Newline-terminated, so the server shuts down whatever it does with
+    // an unterminated line.
+    if (closer >= 0) {
+      (void)send_and_half_close(closer, R"({"op":"shutdown"})" "\n");
+    }
+  }
+  thread.join();
+  ASSERT_GE(client, 0) << "cannot connect to " << path;
+  EXPECT_EQ(status, 0);
+  const auto responses = records_of_type(reply, "serve_response");
+  EXPECT_EQ(records_of_type(reply, "serve_error").size(), 0u) << reply;
+  ASSERT_EQ(responses.size(), 2u) << reply;
+  EXPECT_EQ(responses[0].find("op")->as_string(), "create");
+  EXPECT_EQ(responses[1].find("op")->as_string(), "status");
+}
+
+#endif  // __unix__
 
 }  // namespace
 }  // namespace pacds::serve
