@@ -165,13 +165,14 @@ void apply_sequential(const Graph& g, const PriorityKey& key,
   const bool verified = config.strategy == Strategy::kVerified;
   const DenseAdjacency* dense = synced_dense(&ws, g);
   key.ascending_order_into(ws.order);
+  ws.reserve_lanes(1);
   if (config.use_rule_k) {
+    RuleKLane& lane = ws.lane_rule_k[0];
     sweep(g, ws.order, verified, marked, [&](NodeId v) {
-      return rule_k_would_unmark(g, marked, key, v, dense);
+      return rule_k_would_unmark(g, marked, key, v, dense, lane);
     });
     return;
   }
-  ws.reserve_lanes(1);
   std::vector<NodeId>& scratch = ws.lane_neighbors[0];
   CdsWorkspace::Rule2Lane& resid = ws.lane_residuals[0];
   const bool rule1 = config.use_rule1;
@@ -247,10 +248,11 @@ bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
 
 bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
                          const PriorityKey& key, NodeId v,
-                         const DenseAdjacency* dense) {
+                         const DenseAdjacency* dense, RuleKLane& scratch) {
   if (!marked.test(static_cast<std::size_t>(v))) return false;
   // Candidate covers: marked neighbors with strictly higher priority.
-  std::vector<NodeId> cands;
+  std::vector<NodeId>& cands = scratch.cands;
+  cands.clear();
   for (const NodeId u : g.neighbors(v)) {
     if (marked.test(static_cast<std::size_t>(u)) && key.less(v, u)) {
       cands.push_back(u);
@@ -258,10 +260,10 @@ bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
   }
   if (cands.empty()) return false;
 
-  const auto n = static_cast<std::size_t>(g.num_nodes());
   // Union-find over the candidate list: candidates are connected iff
   // adjacent in G (edges among N(v) are exactly what v's 2-hop info holds).
-  std::vector<std::size_t> parent(cands.size());
+  std::vector<std::size_t>& parent = scratch.parent;
+  parent.resize(cands.size());
   for (std::size_t i = 0; i < cands.size(); ++i) parent[i] = i;
   const auto find = [&parent](std::size_t x) {
     while (parent[x] != x) {
@@ -279,32 +281,38 @@ bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
       if (adjacent) parent[find(i)] = find(j);
     }
   }
+  for (std::size_t i = 0; i < cands.size(); ++i) parent[i] = find(i);
   // Per component, union the CLOSED neighborhoods and test coverage of
   // N(v). Closed unions make the |S| = 1 case equal Rule 1 (N[v] ⊆ N[u]);
   // for |S| >= 2 they coincide with the open unions because a connected S
-  // has every member inside some other member's neighborhood.
-  std::vector<DynBitset> unions(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const std::size_t root = find(i);
-    if (unions[root].size() == 0) unions[root] = DynBitset(n);
-    if (dense != nullptr) {
-      unions[root] |= dense->row(cands[i]);
-    } else {
-      for (const NodeId x : g.neighbors(cands[i])) {
-        unions[root].set(static_cast<std::size_t>(x));
+  // has every member inside some other member's neighborhood. Components
+  // take turns in one cover bitset: each starts at its lowest-index member,
+  // and members are struck off (parent = `done`) as they are added.
+  const std::size_t done = cands.size();
+  DynBitset& cover = scratch.cover;
+  for (std::size_t first = 0; first < cands.size(); ++first) {
+    const std::size_t root = parent[first];
+    if (root == done) continue;
+    cover.resize_clear(static_cast<std::size_t>(g.num_nodes()));
+    for (std::size_t i = first; i < cands.size(); ++i) {
+      if (parent[i] != root) continue;
+      parent[i] = done;
+      if (dense != nullptr) {
+        cover |= dense->row(cands[i]);
+      } else {
+        for (const NodeId x : g.neighbors(cands[i])) {
+          cover.set(static_cast<std::size_t>(x));
+        }
       }
+      cover.set(static_cast<std::size_t>(cands[i]));
     }
-    unions[root].set(static_cast<std::size_t>(cands[i]));
-  }
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (find(i) != i) continue;  // not a component root
     if (dense != nullptr) {
-      if (dense->row(v).is_subset_of(unions[i])) return true;
+      if (dense->row(v).is_subset_of(cover)) return true;
       continue;
     }
     bool covered = true;
     for (const NodeId x : g.neighbors(v)) {
-      if (!unions[i].test(static_cast<std::size_t>(x))) {
+      if (!cover.test(static_cast<std::size_t>(x))) {
         covered = false;
         break;
       }
@@ -312,6 +320,13 @@ bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
     if (covered) return true;
   }
   return false;
+}
+
+bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
+                         const PriorityKey& key, NodeId v,
+                         const DenseAdjacency* dense) {
+  RuleKLane scratch;
+  return rule_k_would_unmark(g, marked, key, v, dense, scratch);
 }
 
 void simultaneous_rule1_pass_into(const Graph& g, const PriorityKey& key,
@@ -385,9 +400,12 @@ void apply_rules(const Graph& g, const PriorityKey& key,
     // One pass is the distributed semantics. Rule k's safety would permit
     // iterating to a fixpoint too, but the distributed algorithm runs once.
     const DenseAdjacency* dense = synced_dense(&ws, g);
-    sharded_pass(marked, ctx.executor, ws.stage, [&](NodeId v, std::size_t) {
-      return rule_k_would_unmark(g, marked, key, v, dense);
-    });
+    ws.reserve_lanes(ctx.lanes());
+    sharded_pass(marked, ctx.executor, ws.stage,
+                 [&](NodeId v, std::size_t lane) {
+                   return rule_k_would_unmark(g, marked, key, v, dense,
+                                              ws.lane_rule_k[lane]);
+                 });
     std::swap(marked, ws.stage);
     return;
   }

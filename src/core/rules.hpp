@@ -127,7 +127,13 @@ struct RuleConfig {
 /// induced subgraph on {u ∈ N(v) : marked(u), key(v) < key(u)} — taking a
 /// whole component is the maximal connected candidate, so no subset search
 /// is needed. With `dense` rows the component unions and the coverage test
-/// run word-parallel instead of per-bit; decisions are identical.
+/// run word-parallel instead of per-bit; decisions are identical. The
+/// scratch overload allocates nothing once `scratch` is warm; the other
+/// uses a local one.
+[[nodiscard]] bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
+                                       const PriorityKey& key, NodeId v,
+                                       const DenseAdjacency* dense,
+                                       RuleKLane& scratch);
 [[nodiscard]] bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
                                        const PriorityKey& key, NodeId v,
                                        const DenseAdjacency* dense = nullptr);

@@ -23,6 +23,15 @@ namespace obs {
 class MetricsRegistry;  // full definition in obs/metrics.hpp
 }
 
+/// Scratch of one rule_k_would_unmark call: v's candidate covers, their
+/// union-find parents, and the closed-neighborhood cover of one candidate
+/// component. Only capacity persists between calls.
+struct RuleKLane {
+  std::vector<NodeId> cands;
+  std::vector<std::size_t> parent;
+  DynBitset cover;
+};
+
 /// Scratch buffers threaded through compute_cds / apply_rules /
 /// IncrementalCds. Contents are clobbered by every pipeline call; only
 /// capacity persists.
@@ -36,6 +45,8 @@ struct CdsWorkspace {
   std::vector<std::vector<NodeId>> lane_neighbors;
   /// Per-executor-lane residual word buffers (dense Rule 2 fast path).
   std::vector<Rule2Lane> lane_residuals;
+  /// Per-executor-lane Rule k scratch.
+  std::vector<RuleKLane> lane_rule_k;
   /// Double buffer for simultaneous passes (next mark set under
   /// construction).
   DynBitset stage;
@@ -50,6 +61,7 @@ struct CdsWorkspace {
   void reserve_lanes(std::size_t lanes) {
     if (lane_neighbors.size() < lanes) lane_neighbors.resize(lanes);
     if (lane_residuals.size() < lanes) lane_residuals.resize(lanes);
+    if (lane_rule_k.size() < lanes) lane_rule_k.resize(lanes);
   }
 };
 

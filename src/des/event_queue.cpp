@@ -1,5 +1,6 @@
 #include "des/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,15 +10,15 @@ void EventQueue::schedule(SimTime when, std::function<void()> action) {
   if (when < now_) {
     throw std::invalid_argument("EventQueue::schedule: time in the past");
   }
-  heap_.push(Entry{when, next_seq_++, std::move(action)});
+  heap_.push_back(Entry{when, next_seq_++, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::run_one() {
   if (heap_.empty()) return false;
-  // priority_queue::top is const; move out via const_cast idiom avoided —
-  // copy the small wrapper instead (std::function copy).
-  Entry entry = heap_.top();
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry entry = std::move(heap_.back());
+  heap_.pop_back();
   now_ = entry.when;
   ++fired_;
   entry.action();
@@ -25,7 +26,7 @@ bool EventQueue::run_one() {
 }
 
 void EventQueue::run_until(SimTime until) {
-  while (!heap_.empty() && heap_.top().when <= until) {
+  while (!heap_.empty() && heap_.front().when <= until) {
     run_one();
   }
   if (now_ < until) now_ = until;

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace pacds::des {
@@ -13,7 +12,8 @@ namespace pacds::des {
 /// Simulation clock type (abstract time units).
 using SimTime = double;
 
-/// Min-heap event queue dispatching std::function thunks.
+/// Min-heap event queue dispatching std::function thunks. A popped event
+/// is moved out of the heap, never copied, before it fires.
 class EventQueue {
  public:
   /// Schedules `action` at absolute time `when` (must be >= now()).
@@ -46,7 +46,7 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Entry> heap_;  ///< binary heap under Later (earliest on top)
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;

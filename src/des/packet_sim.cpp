@@ -117,7 +117,7 @@ class Sim {
       ++result_.drops.crashed;
       return;
     }
-    const RouteResult route = router_->route(src, dst);
+    RouteResult route = router_->route(src, dst);
     if (!route.delivered) {
       ++result_.drops.no_route;
       return;
@@ -127,7 +127,7 @@ class Sim {
       return;
     }
     Packet packet;
-    packet.route = route.path;
+    packet.route = std::move(route.path);
     packet.injected_at = events_.now();
     enqueue(src, std::move(packet));
   }

@@ -134,14 +134,7 @@ std::string diff_runs(const std::string& label_a, const TrialRun& a,
   return {};
 }
 
-/// Connected network snapshot for the structural oracles (CDS validity and
-/// the distributed protocol agree with the pinned properties only on
-/// connected graphs). Empty optional when no connected placement exists in
-/// the scenario's (n, radius) regime — those oracles then skip.
-struct Snapshot {
-  Graph graph;
-  std::vector<double> energy;
-};
+}  // namespace
 
 std::optional<Snapshot> make_snapshot(const FuzzScenario& s) {
   Xoshiro256 rng(derive_seed(s.trial_seed, 0x0f5aU));
@@ -167,14 +160,21 @@ std::optional<Snapshot> make_snapshot(const FuzzScenario& s) {
   return snap;
 }
 
+CdsResult snapshot_cds(const FuzzScenario& s, const Snapshot& snap) {
+  return compute_cds_custom(snap.graph, key_kind_of(s.config),
+                            rules_of(s.config), snap.energy,
+                            s.config.cds_options.clique_policy);
+}
+
+namespace {
+
 void check_cds_validity(const FuzzScenario& s, const Snapshot& snap,
                         const OracleOptions& opts,
                         std::vector<OracleFailure>& failures) {
   const auto fail = [&](const std::string& detail) {
     failures.push_back({"cds-validity", detail + " [" + describe(s) + "]"});
   };
-  const CdsResult cds =
-      compute_cds(snap.graph, s.config.rule_set, snap.energy, s.config.cds_options);
+  const CdsResult cds = snapshot_cds(s, snap);
   std::size_t gateway_count = cds.gateway_count;
   if (opts.mutation == kMutateCdsValidity) ++gateway_count;
   if (gateway_count != cds.gateways.count() ||
@@ -202,9 +202,11 @@ void check_cds_validity(const FuzzScenario& s, const Snapshot& snap,
     fail("marking-process output is not a valid CDS: " + marking.message);
     return;
   }
-  // The simultaneous strategy's final set is known-unsafe (documented flaw,
-  // pinned by SimultaneousSafetyTest) — only the safe strategies assert it.
-  if (s.config.cds_options.strategy != Strategy::kSimultaneous) {
+  // The pairwise rules' simultaneous final set is known-unsafe (documented
+  // flaw, pinned by SimultaneousSafetyTest) — only the safe strategies
+  // assert it. Rule k is safe under every strategy.
+  if (s.config.cds_options.strategy != Strategy::kSimultaneous ||
+      rules_of(s.config).use_rule_k) {
     const CdsCheck final_set = check_cds(snap.graph, cds.gateways);
     if (!final_set.ok()) {
       fail("final gateway set is not a valid CDS under " +
@@ -251,9 +253,7 @@ void check_gap_bound(const FuzzScenario& s, const Snapshot& snap,
       {"MIS", mis_cds(g).count()},
       {"tree", bfs_tree_cds(g).count()},
       {"(2,2)", backbone.backbone.count()},
-      {"marking", compute_cds(g, s.config.rule_set, snap.energy,
-                              s.config.cds_options)
-                      .marked_count},
+      {"marking", snapshot_cds(s, snap).marked_count},
   };
   for (const auto& h : bounded) {
     if (h.size < optimum) {
@@ -302,6 +302,10 @@ void check_dist_agreement(const FuzzScenario& s, const Snapshot& snap,
   const auto fail = [&](const std::string& detail) {
     failures.push_back({"dist-agreement", detail + " [" + describe(s) + "]"});
   };
+  // The scheme alone, not snapshot_cds: the distributed protocol implements
+  // only the schemes' pairwise rules (no custom key chain, no simple Rule 2
+  // under another key, no Rule k), so those draws have no twin to agree
+  // with here.
   const dist::ProtocolResult proto =
       dist::run_protocol_scheme(snap.graph, s.config.rule_set, snap.energy);
   CdsOptions options;

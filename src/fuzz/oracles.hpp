@@ -3,12 +3,15 @@
 // oracle checks one equivalence or conservation law the test suite pins on
 // hand-picked topologies, here exercised on random instances:
 //
-//   cds-validity        — compute_cds internal count consistency, rules ⊆
-//                         marking, marking output passes check_cds, and the
-//                         final set passes check_cds for the sequential and
-//                         verified strategies. The simultaneous strategy is
-//                         *documented unsafe* (it violates connectivity on a
-//                         sizable fraction of dense random instances — see
+//   cds-validity        — on the scenario's own key kind and rules (custom
+//                         key, Rule 2 form, Rule k; see snapshot_cds):
+//                         internal count consistency, rules ⊆ marking,
+//                         marking output passes check_cds, and the final
+//                         set passes check_cds for the sequential and
+//                         verified strategies and for Rule k. The pairwise
+//                         rules' simultaneous strategy is *documented
+//                         unsafe* (it violates connectivity on a sizable
+//                         fraction of dense random instances — see
 //                         tests/cds_property_test SimultaneousSafetyTest),
 //                         so its final set is deliberately NOT asserted.
 //   engine-identity     — full-rebuild vs incremental trials bit-identical
@@ -17,8 +20,10 @@
 //   threads-identity    — serial vs threaded trials bit-identical for the
 //                         scenario's thread count.
 //   dist-agreement      — distributed protocol == centralized simultaneous
-//                         compute_cds; zero-fault ARQ == reliable run; a
-//                         complete faulty-channel ARQ run == reliable run.
+//                         compute_cds under the scheme (the protocol runs
+//                         only the schemes' pairwise rules); zero-fault
+//                         ARQ == reliable run; a complete faulty-channel
+//                         ARQ run == reliable run.
 //   energy-conservation — per-interval battery accounting: energy only
 //                         leaves the system, and on intervals without a
 //                         death the exact drain/theft ledger balances.
@@ -48,12 +53,34 @@
 // eligibility, threads > 1, ...) skip silently when the scenario is outside
 // their domain; the generator keeps every domain populated.
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/cds.hpp"
+#include "core/graph.hpp"
 #include "fuzz/scenario.hpp"
 
 namespace pacds::fuzz {
+
+/// Connected network snapshot for the structural oracles (CDS validity and
+/// the distributed protocol agree with the pinned properties only on
+/// connected graphs), with small integer energies so EL-key ties occur.
+struct Snapshot {
+  Graph graph;
+  std::vector<double> energy;
+};
+
+/// The scenario's snapshot, drawn from its trial seed. Empty when no
+/// connected placement exists in its (n, radius) regime — the structural
+/// oracles then skip.
+[[nodiscard]] std::optional<Snapshot> make_snapshot(const FuzzScenario& s);
+
+/// The backbone cds-validity and gap-bound check on a snapshot: the
+/// scenario's key kind and rules as the lifetime engines run them
+/// (key_kind_of / rules_of), with the snapshot energies as levels.
+[[nodiscard]] CdsResult snapshot_cds(const FuzzScenario& s,
+                                     const Snapshot& snap);
 
 /// One oracle violation. `oracle` is the stable name from the list above
 /// (shrinking preserves it); `detail` is a human-readable diagnosis.

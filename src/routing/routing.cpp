@@ -1,25 +1,42 @@
 #include "routing/routing.hpp"
 
-#include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace pacds {
 
 DominatingSetRouter::DominatingSetRouter(const Graph& g, DynBitset gateways)
     : graph_(&g), gateways_(std::move(gateways)) {
-  if (gateways_.size() != static_cast<std::size_t>(g.num_nodes())) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  if (gateways_.size() != n) {
     throw std::invalid_argument(
         "DominatingSetRouter: gateway mask size mismatch");
   }
-  members_.resize(static_cast<std::size_t>(g.num_nodes()));
+  index_of_.assign(n, -1);
+  gateway_ids_.reserve(gateways_.count());
+  std::size_t degree_sum = 0;
   gateways_.for_each_set([&](std::size_t gw) {
-    for (const NodeId u : g.neighbors(static_cast<NodeId>(gw))) {
-      if (!gateways_.test(static_cast<std::size_t>(u))) {
-        members_[gw].push_back(u);
+    index_of_[gw] = static_cast<std::int32_t>(gateway_ids_.size());
+    gateway_ids_.push_back(static_cast<NodeId>(gw));
+    degree_sum += g.neighbors(static_cast<NodeId>(gw)).size();
+  });
+  members_.resize(n);
+  backbone_adj_.reserve(degree_sum);
+  backbone_offsets_.reserve(gateway_ids_.size() + 1);
+  backbone_offsets_.push_back(0);
+  for (const NodeId gw : gateway_ids_) {
+    members_[static_cast<std::size_t>(gw)].reserve(g.neighbors(gw).size());
+    for (const NodeId u : g.neighbors(gw)) {
+      const std::int32_t ui = index_of_[static_cast<std::size_t>(u)];
+      if (ui >= 0) {
+        backbone_adj_.push_back(ui);
+      } else {
+        members_[static_cast<std::size_t>(gw)].push_back(u);
       }
     }
-  });
+    backbone_offsets_.push_back(
+        static_cast<std::int32_t>(backbone_adj_.size()));
+  }
+  row_slot_.assign(gateway_ids_.size(), -1);
 }
 
 bool DominatingSetRouter::is_gateway(NodeId v) const {
@@ -44,26 +61,34 @@ const std::vector<NodeId>& DominatingSetRouter::domain_members(
   return members_[static_cast<std::size_t>(gw)];
 }
 
-DominatingSetRouter::BackboneView DominatingSetRouter::backbone_bfs(
-    NodeId gw) const {
-  const auto n = static_cast<std::size_t>(graph_->num_nodes());
-  BackboneView view{std::vector<NodeId>(n, -1), std::vector<NodeId>(n, -1)};
-  if (!is_gateway(gw)) return view;
-  view.dist[static_cast<std::size_t>(gw)] = 0;
-  std::deque<NodeId> queue{gw};
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    for (const NodeId nxt : graph_->neighbors(cur)) {
-      const auto ni = static_cast<std::size_t>(nxt);
-      if (!gateways_.test(ni) || view.dist[ni] >= 0) continue;
-      view.dist[ni] =
-          static_cast<NodeId>(view.dist[static_cast<std::size_t>(cur)] + 1);
-      view.parent[ni] = cur;
-      queue.push_back(nxt);
+std::size_t DominatingSetRouter::row(std::int32_t gi) const {
+  const std::size_t width = gateway_ids_.size();
+  std::int32_t& slot = row_slot_[static_cast<std::size_t>(gi)];
+  if (slot >= 0) return static_cast<std::size_t>(slot) * 2 * width;
+  const std::size_t base = rows_.size();
+  slot = static_cast<std::int32_t>(base / (2 * width));
+  rows_.resize(base + 2 * width, -1);
+  queue_.resize(width);
+  std::int32_t* dist = rows_.data() + base;
+  std::int32_t* parent = dist + width;
+  // Backbone BFS over gateway-only paths.
+  dist[gi] = 0;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue_[tail++] = gi;
+  while (head < tail) {
+    const std::int32_t cur = queue_[head++];
+    const auto cu = static_cast<std::size_t>(cur);
+    for (std::int32_t k = backbone_offsets_[cu]; k < backbone_offsets_[cu + 1];
+         ++k) {
+      const std::int32_t nxt = backbone_adj_[static_cast<std::size_t>(k)];
+      if (dist[nxt] >= 0) continue;
+      dist[nxt] = dist[cur] + 1;
+      parent[nxt] = cur;
+      queue_[tail++] = nxt;
     }
   }
-  return view;
+  return base;
 }
 
 std::vector<GatewayTableEntry> DominatingSetRouter::routing_table(
@@ -72,111 +97,123 @@ std::vector<GatewayTableEntry> DominatingSetRouter::routing_table(
     throw std::invalid_argument("routing_table: node " + std::to_string(gw) +
                                 " is not a gateway");
   }
-  const BackboneView view = backbone_bfs(gw);
+  const std::int32_t gi = index_of_[static_cast<std::size_t>(gw)];
+  const std::size_t width = gateway_ids_.size();
+  const std::size_t at = row(gi);  // before data(): row() may grow rows_
+  const std::int32_t* dist = rows_.data() + at;
+  const std::int32_t* parent = dist + width;
   std::vector<GatewayTableEntry> table;
-  gateways_.for_each_set([&](std::size_t peer_idx) {
-    const auto peer = static_cast<NodeId>(peer_idx);
-    if (peer == gw || view.dist[peer_idx] < 0) return;
+  for (std::size_t peer = 0; peer < width; ++peer) {
+    if (static_cast<std::int32_t>(peer) == gi || dist[peer] < 0) continue;
     GatewayTableEntry entry;
-    entry.gateway = peer;
-    entry.members = members_[peer_idx];
-    entry.distance = view.dist[peer_idx];
+    entry.gateway = gateway_ids_[peer];
+    entry.members = members_[static_cast<std::size_t>(entry.gateway)];
+    entry.distance = dist[peer];
     // First hop on the backbone path gw -> peer: walk parents back from peer.
-    NodeId hop = peer;
-    while (view.parent[static_cast<std::size_t>(hop)] != gw) {
-      hop = view.parent[static_cast<std::size_t>(hop)];
-    }
-    entry.next_hop = hop;
-    table.push_back(entry);
-  });
+    auto hop = static_cast<std::int32_t>(peer);
+    while (parent[hop] != gi) hop = parent[hop];
+    entry.next_hop = gateway_ids_[static_cast<std::size_t>(hop)];
+    table.push_back(std::move(entry));
+  }
   return table;
+}
+
+namespace {
+
+/// Calls `fn` on each candidate end gateway of `host`: the host itself when
+/// it is a gateway, otherwise its adjacent gateways in ascending id order.
+template <class Fn>
+void for_each_end_gateway(const Graph& g,
+                          const std::vector<std::int32_t>& index_of,
+                          NodeId host, Fn&& fn) {
+  if (index_of[static_cast<std::size_t>(host)] >= 0) {
+    fn(host);
+    return;
+  }
+  for (const NodeId u : g.neighbors(host)) {
+    if (index_of[static_cast<std::size_t>(u)] >= 0) fn(u);
+  }
+}
+
+}  // namespace
+
+DominatingSetRouter::Choice DominatingSetRouter::choose(NodeId src,
+                                                        NodeId dst) const {
+  Choice best;
+  if (src == dst) {
+    best.hops = 0;
+    return best;
+  }
+  if (graph_->has_edge(src, dst)) {
+    // Hosts know their neighbors; one-hop delivery needs no gateway.
+    best.hops = 1;
+    return best;
+  }
+  const auto dominated = [&](NodeId host) {
+    bool any = false;
+    for_each_end_gateway(*graph_, index_of_, host,
+                         [&](NodeId) { any = true; });
+    return any;
+  };
+  if (!dominated(src)) {
+    best.failure = "source host is not dominated by any gateway";
+    return best;
+  }
+  if (!dominated(dst)) {
+    best.failure = "destination host is not dominated by any gateway";
+    return best;
+  }
+  for_each_end_gateway(*graph_, index_of_, src, [&](NodeId sg) {
+    const std::size_t at = row(index_of_[static_cast<std::size_t>(sg)]);
+    const std::int32_t* dist = rows_.data() + at;
+    for_each_end_gateway(*graph_, index_of_, dst, [&](NodeId dg) {
+      const std::int32_t d = dist[index_of_[static_cast<std::size_t>(dg)]];
+      if (d < 0) return;
+      const NodeId total = d + (src == sg ? 0 : 1) + (dst == dg ? 0 : 1);
+      if (best.hops < 0 || total < best.hops) {
+        best.src_gw = sg;
+        best.dst_gw = dg;
+        best.hops = total;
+      }
+    });
+  });
+  if (best.hops < 0) {
+    best.failure = "no backbone route between source and destination "
+                   "gateways";
+  }
+  return best;
 }
 
 RouteResult DominatingSetRouter::route(NodeId src, NodeId dst) const {
   RouteResult result;
-  if (src == dst) {
-    result.delivered = true;
-    result.path = {src};
+  const Choice choice = choose(src, dst);
+  if (choice.failure != nullptr) {
+    result.failure = choice.failure;
     return result;
   }
-  if (graph_->has_edge(src, dst)) {
-    // Hosts know their neighbors; one-hop delivery needs no gateway.
-    result.delivered = true;
-    result.path = {src, dst};
-    return result;
-  }
-  const std::vector<NodeId> src_gws =
-      is_gateway(src) ? std::vector<NodeId>{src} : gateways_of(src);
-  const std::vector<NodeId> dst_gws =
-      is_gateway(dst) ? std::vector<NodeId>{dst} : gateways_of(dst);
-  if (src_gws.empty()) {
-    result.failure = "source host is not dominated by any gateway";
-    return result;
-  }
-  if (dst_gws.empty()) {
-    result.failure = "destination host is not dominated by any gateway";
-    return result;
-  }
-  NodeId best_total = -1;
-  NodeId best_sg = -1;
-  NodeId best_dg = -1;
-  BackboneView best_view;
-  for (const NodeId sg : src_gws) {
-    BackboneView view = backbone_bfs(sg);
-    for (const NodeId dg : dst_gws) {
-      const NodeId d = view.dist[static_cast<std::size_t>(dg)];
-      if (d < 0) continue;
-      const NodeId total = static_cast<NodeId>(
-          d + (src == sg ? 0 : 1) + (dst == dg ? 0 : 1));
-      if (best_total < 0 || total < best_total) {
-        best_total = total;
-        best_sg = sg;
-        best_dg = dg;
-        best_view = view;
-      }
-    }
-  }
-  if (best_total < 0) {
-    result.failure = "no backbone route between source and destination "
-                     "gateways";
-    return result;
-  }
-  std::vector<NodeId> backbone;
-  for (NodeId p = best_dg; p != -1;
-       p = best_view.parent[static_cast<std::size_t>(p)]) {
-    backbone.push_back(p);
-  }
-  std::reverse(backbone.begin(), backbone.end());  // now best_sg .. best_dg
   result.delivered = true;
-  if (src != best_sg) result.path.push_back(src);
-  result.path.insert(result.path.end(), backbone.begin(), backbone.end());
-  if (dst != best_dg) result.path.push_back(dst);
+  std::vector<NodeId>& path = result.path;
+  path.resize(static_cast<std::size_t>(choice.hops) + 1);
+  path.front() = src;
+  path.back() = dst;
+  if (choice.src_gw < 0) return result;  // src itself or a neighbor of it
+  // Fill the backbone src_gw .. dst_gw backwards from the parent chain.
+  const std::size_t row_at =
+      row(index_of_[static_cast<std::size_t>(choice.src_gw)]);
+  const std::int32_t* parent = rows_.data() + row_at + gateway_ids_.size();
+  std::size_t at = path.size() - (dst == choice.dst_gw ? 1 : 2);
+  for (std::int32_t p = index_of_[static_cast<std::size_t>(choice.dst_gw)];
+       p != -1; p = parent[p]) {
+    path[at--] = gateway_ids_[static_cast<std::size_t>(p)];
+  }
   return result;
 }
 
 std::optional<NodeId> DominatingSetRouter::route_hops(NodeId src,
                                                       NodeId dst) const {
-  const RouteResult r = route(src, dst);
-  if (!r.delivered) return std::nullopt;
-  return static_cast<NodeId>(r.path.size() - 1);
-}
-
-std::optional<NodeId> DominatingSetRouter::pick_source_gateway(
-    NodeId host, NodeId dst_gw) const {
-  const auto candidates =
-      is_gateway(host) ? std::vector<NodeId>{host} : gateways_of(host);
-  std::optional<NodeId> best;
-  NodeId best_dist = -1;
-  for (const NodeId sg : candidates) {
-    const BackboneView view = backbone_bfs(sg);
-    const NodeId d = view.dist[static_cast<std::size_t>(dst_gw)];
-    if (d < 0) continue;
-    if (!best || d < best_dist) {
-      best = sg;
-      best_dist = d;
-    }
-  }
-  return best;
+  const Choice choice = choose(src, dst);
+  if (choice.failure != nullptr) return std::nullopt;
+  return choice.hops;
 }
 
 }  // namespace pacds

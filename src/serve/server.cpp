@@ -17,6 +17,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <iostream>
 #endif
@@ -480,6 +481,29 @@ int Server::run(std::istream& in) {
 
 #ifdef __unix__
 
+namespace {
+
+/// Writes all of `text` to a connected socket without raising SIGPIPE.
+/// False once the peer is gone (EPIPE, or any other hard error).
+bool send_all(int fd, const std::string& text) {
+#ifdef MSG_NOSIGNAL
+  constexpr int kFlags = MSG_NOSIGNAL;
+#else
+  constexpr int kFlags = 0;  // SO_NOSIGPIPE is set on the socket instead
+#endif
+  std::size_t written = 0;
+  while (written < text.size()) {
+    const ssize_t put =
+        ::send(fd, text.data() + written, text.size() - written, kFlags);
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return false;
+    written += static_cast<std::size_t>(put);
+  }
+  return true;
+}
+
+}  // namespace
+
 int Server::run_unix_socket(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -509,13 +533,20 @@ int Server::run_unix_socket(const std::string& path) {
   // client half-closes, an unterminated remainder is its last request, as
   // in stdin mode. Admission control is inherent here — the kernel socket
   // buffer is the queue and the client sees backpressure directly, so
-  // nothing is shed.
+  // nothing is shed. A client that closes before reading its replies loses
+  // the rest of its output (its requests still run); the server keeps
+  // serving.
   while (!shutdown_) {
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) break;
+#if !defined(MSG_NOSIGNAL) && defined(SO_NOSIGPIPE)
+    const int one = 1;
+    ::setsockopt(client, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
+#endif
     std::string pending;
     char chunk[4096];
     bool eof = false;
+    bool peer_gone = false;
     while (!eof) {
       const ssize_t got = ::read(client, chunk, sizeof(chunk));
       if (got < 0) break;
@@ -537,14 +568,7 @@ int Server::run_unix_socket(const std::string& path) {
       out_ = &captured;
       const bool keep = process_lines(lines);
       out_ = saved;
-      const std::string text = captured.str();
-      std::size_t written = 0;
-      while (written < text.size()) {
-        const ssize_t put =
-            ::write(client, text.data() + written, text.size() - written);
-        if (put <= 0) break;
-        written += static_cast<std::size_t>(put);
-      }
+      peer_gone = peer_gone || !send_all(client, captured.str());
       if (!keep) break;
     }
     ::close(client);

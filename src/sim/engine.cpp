@@ -42,12 +42,10 @@ void build_sim_links(const SimConfig& config, const RadioModel* radio,
   }
 }
 
-// ---- FullRebuildEngine -----------------------------------------------------
+KeyKind key_kind_of(const SimConfig& config) {
+  return config.custom_key ? *config.custom_key : key_kind_of(config.rule_set);
+}
 
-namespace {
-
-/// The rules a config runs: its scheme's, or under a custom key both
-/// pairwise rules in the configured Rule 2 form, or Rule k.
 RuleConfig rules_of(const SimConfig& config) {
   if (!config.custom_key) {
     return rule_config_of(config.rule_set, config.cds_options.strategy);
@@ -59,12 +57,11 @@ RuleConfig rules_of(const SimConfig& config) {
   return rules;
 }
 
-}  // namespace
+// ---- FullRebuildEngine -----------------------------------------------------
 
 FullRebuildEngine::FullRebuildEngine(const SimConfig& config)
     : config_(config),
-      kind_(config.custom_key ? *config.custom_key
-                              : key_kind_of(config.rule_set)),
+      kind_(key_kind_of(config)),
       rules_(rules_of(config)) {
   make_interval_pool(config_.threads, pool_);
   if (config_.radio != RadioKind::kUnitDisk) {

@@ -53,6 +53,14 @@ void build_sim_links(const SimConfig& config, const RadioModel* radio,
                      const std::vector<Vec2>& positions, LinkBuilder& builder,
                      Graph& out);
 
+/// The key chain a config's backbone runs on: its custom key, else its
+/// scheme's.
+[[nodiscard]] KeyKind key_kind_of(const SimConfig& config);
+
+/// The rules a config runs: its scheme's, or under a custom key both
+/// pairwise rules in the configured Rule 2 form, or Rule k.
+[[nodiscard]] RuleConfig rules_of(const SimConfig& config);
+
 /// Resolves SimConfig::threads into an intra-interval pool. `threads` counts
 /// lanes *including* the calling thread (the caller always participates in
 /// sharded passes), so N lanes need a pool of N - 1 workers; 0 means one

@@ -80,5 +80,35 @@ TEST(EventQueueTest, SameTimeEventScheduledDuringRunFires) {
   EXPECT_EQ(fired, 1);
 }
 
+/// A thunk that counts how often it is copied (moves are free).
+struct CopyCountingThunk {
+  int* copies;
+  int* fired;
+  CopyCountingThunk(int* c, int* f) : copies(c), fired(f) {}
+  CopyCountingThunk(const CopyCountingThunk& other)
+      : copies(other.copies), fired(other.fired) {
+    ++*copies;
+  }
+  CopyCountingThunk(CopyCountingThunk&&) noexcept = default;
+  CopyCountingThunk& operator=(const CopyCountingThunk&) = delete;
+  CopyCountingThunk& operator=(CopyCountingThunk&&) = delete;
+  ~CopyCountingThunk() = default;
+  void operator()() const { ++*fired; }
+};
+
+TEST(EventQueueTest, FiringMovesTheEventOutWithoutCopying) {
+  // Events carry whole packets and routes; popping one must not copy it,
+  // also while the heap reorders around it.
+  EventQueue q;
+  int copies = 0;
+  int fired = 0;
+  for (int i = 0; i < 8; ++i) {
+    q.schedule(static_cast<SimTime>(8 - i), CopyCountingThunk(&copies, &fired));
+  }
+  q.run_all();
+  EXPECT_EQ(fired, 8);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace pacds::des

@@ -236,6 +236,46 @@ TEST(FuzzOracleTest, EveryMutationIsCaughtByItsOracle) {
   }
 }
 
+TEST(FuzzOracleTest, RuleKScenarioReachesCdsValidity) {
+  // The snapshot oracles compute the scenario's own backbone: a Rule k
+  // scenario whose Rule k set differs in size from its scheme's set must
+  // show the Rule k count in the mutated cds-validity report.
+  int checked = 0;
+  for (std::uint64_t i = 0; i < 64 && checked < 3; ++i) {
+    FuzzScenario s = random_scenario(1, i);
+    s.config.custom_key = KeyKind::kEnergyId;
+    s.config.use_rule_k = true;
+    const auto snap = make_snapshot(s);
+    if (!snap) continue;
+    const CdsResult rule_k = compute_cds_custom(
+        snap->graph, KeyKind::kEnergyId,
+        RuleConfig{.use_rule_k = true,
+                   .strategy = s.config.cds_options.strategy},
+        snap->energy, s.config.cds_options.clique_policy);
+    const CdsResult scheme = compute_cds(snap->graph, s.config.rule_set,
+                                         snap->energy, s.config.cds_options);
+    if (rule_k.gateway_count == scheme.gateway_count) continue;
+    ++checked;
+    const CdsResult seen = snapshot_cds(s, *snap);
+    EXPECT_TRUE(seen.gateways == rule_k.gateways) << describe(s);
+    const std::string expected =
+        "gateway_count " + std::to_string(rule_k.gateway_count + 1) + " vs " +
+        std::to_string(rule_k.gateway_count) + ")";
+    bool reported = false;
+    for (const OracleFailure& f :
+         run_oracles(s, OracleOptions{kMutateCdsValidity})) {
+      reported = reported || (f.oracle == "cds-validity" &&
+                              f.detail.find(expected) != std::string::npos);
+    }
+    EXPECT_TRUE(reported) << "cds-validity did not check the Rule k set on "
+                          << describe(s);
+    const std::vector<OracleFailure> clean = run_oracles(s);
+    EXPECT_TRUE(clean.empty())
+        << clean.front().oracle << ": " << clean.front().detail;
+  }
+  EXPECT_EQ(checked, 3) << "too few Rule k scenarios in the scan window";
+}
+
 // ---- shrinking ------------------------------------------------------------
 
 TEST(FuzzShrinkTest, ShrinksWhilePreservingTheFailingOracle) {

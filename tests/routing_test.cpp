@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <stdexcept>
 
 #include "core/cds.hpp"
 #include "net/rng.hpp"
 #include "net/topology.hpp"
+#include "net/udg.hpp"
 #include "test_graphs.hpp"
 
 namespace pacds {
@@ -253,6 +256,256 @@ TEST(RoutingTest, RouteInteriorUsesOnlyGateways) {
             << "interior node " << r.path[i] << " on " << s << "->" << t;
       }
     }
+  }
+}
+
+/// The per-call-BFS router the cached backbone rows replaced, kept as the
+/// reference: one fresh backbone BFS per candidate source gateway of every
+/// route, and one per routing table.
+class ReferenceRouter {
+ public:
+  ReferenceRouter(const Graph& g, const DynBitset& gateways)
+      : g_(g), gateways_(gateways) {}
+
+  RouteResult route(NodeId src, NodeId dst) const {
+    RouteResult result;
+    if (src == dst) {
+      result.delivered = true;
+      result.path = {src};
+      return result;
+    }
+    if (g_.has_edge(src, dst)) {
+      result.delivered = true;
+      result.path = {src, dst};
+      return result;
+    }
+    const std::vector<NodeId> src_gws =
+        is_gateway(src) ? std::vector<NodeId>{src} : gateways_of(src);
+    const std::vector<NodeId> dst_gws =
+        is_gateway(dst) ? std::vector<NodeId>{dst} : gateways_of(dst);
+    if (src_gws.empty()) {
+      result.failure = "source host is not dominated by any gateway";
+      return result;
+    }
+    if (dst_gws.empty()) {
+      result.failure = "destination host is not dominated by any gateway";
+      return result;
+    }
+    NodeId best_total = -1;
+    NodeId best_sg = -1;
+    NodeId best_dg = -1;
+    View best_view;
+    for (const NodeId sg : src_gws) {
+      View view = backbone_bfs(sg);
+      for (const NodeId dg : dst_gws) {
+        const NodeId d = view.dist[static_cast<std::size_t>(dg)];
+        if (d < 0) continue;
+        const NodeId total = d + (src == sg ? 0 : 1) + (dst == dg ? 0 : 1);
+        if (best_total < 0 || total < best_total) {
+          best_total = total;
+          best_sg = sg;
+          best_dg = dg;
+          best_view = view;
+        }
+      }
+    }
+    if (best_total < 0) {
+      result.failure =
+          "no backbone route between source and destination gateways";
+      return result;
+    }
+    std::vector<NodeId> backbone;
+    for (NodeId p = best_dg; p != -1;
+         p = best_view.parent[static_cast<std::size_t>(p)]) {
+      backbone.push_back(p);
+    }
+    std::reverse(backbone.begin(), backbone.end());
+    result.delivered = true;
+    if (src != best_sg) result.path.push_back(src);
+    result.path.insert(result.path.end(), backbone.begin(), backbone.end());
+    if (dst != best_dg) result.path.push_back(dst);
+    return result;
+  }
+
+  std::vector<GatewayTableEntry> routing_table(NodeId gw) const {
+    const View view = backbone_bfs(gw);
+    std::vector<GatewayTableEntry> table;
+    gateways_.for_each_set([&](std::size_t peer_idx) {
+      const auto peer = static_cast<NodeId>(peer_idx);
+      if (peer == gw || view.dist[peer_idx] < 0) return;
+      GatewayTableEntry entry;
+      entry.gateway = peer;
+      for (const NodeId u : g_.neighbors(peer)) {
+        if (!is_gateway(u)) entry.members.push_back(u);
+      }
+      entry.distance = view.dist[peer_idx];
+      NodeId hop = peer;
+      while (view.parent[static_cast<std::size_t>(hop)] != gw) {
+        hop = view.parent[static_cast<std::size_t>(hop)];
+      }
+      entry.next_hop = hop;
+      table.push_back(entry);
+    });
+    return table;
+  }
+
+ private:
+  struct View {
+    std::vector<NodeId> dist;
+    std::vector<NodeId> parent;
+  };
+
+  bool is_gateway(NodeId v) const {
+    return gateways_.test(static_cast<std::size_t>(v));
+  }
+
+  std::vector<NodeId> gateways_of(NodeId host) const {
+    std::vector<NodeId> out;
+    for (const NodeId u : g_.neighbors(host)) {
+      if (is_gateway(u)) out.push_back(u);
+    }
+    return out;
+  }
+
+  View backbone_bfs(NodeId gw) const {
+    const auto n = static_cast<std::size_t>(g_.num_nodes());
+    View view{std::vector<NodeId>(n, -1), std::vector<NodeId>(n, -1)};
+    view.dist[static_cast<std::size_t>(gw)] = 0;
+    std::deque<NodeId> queue{gw};
+    while (!queue.empty()) {
+      const NodeId cur = queue.front();
+      queue.pop_front();
+      for (const NodeId nxt : g_.neighbors(cur)) {
+        const auto ni = static_cast<std::size_t>(nxt);
+        if (!is_gateway(nxt) || view.dist[ni] >= 0) continue;
+        view.dist[ni] = view.dist[static_cast<std::size_t>(cur)] + 1;
+        view.parent[ni] = cur;
+        queue.push_back(nxt);
+      }
+    }
+    return view;
+  }
+
+  const Graph& g_;
+  const DynBitset& gateways_;
+};
+
+void expect_same_tables(const std::vector<GatewayTableEntry>& got,
+                        const std::vector<GatewayTableEntry>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].gateway, want[i].gateway) << where;
+    EXPECT_EQ(got[i].members, want[i].members) << where;
+    EXPECT_EQ(got[i].distance, want[i].distance) << where;
+    EXPECT_EQ(got[i].next_hop, want[i].next_hop) << where;
+  }
+}
+
+/// Gateway sets to route over on `g`: each of the five schemes' CDS, and
+/// random subsets that are empty, sparse (rarely dominating) and a CDS with
+/// one member dropped (often disconnected).
+std::vector<std::pair<std::string, DynBitset>> gateway_sets(const Graph& g,
+                                                            Xoshiro256& rng) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> energy(n);
+  for (double& e : energy) e = static_cast<double>(rng.uniform_int(1, 5));
+  std::vector<std::pair<std::string, DynBitset>> sets;
+  for (const RuleSet rs : kAllRuleSets) {
+    sets.emplace_back(to_string(rs), compute_cds(g, rs, energy).gateways);
+  }
+  sets.emplace_back("empty", DynBitset(n));
+  DynBitset sparse(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (rng.bernoulli(0.25)) sparse.set(v);
+  }
+  sets.emplace_back("sparse", sparse);
+  DynBitset dropped = sets[1].second;
+  if (dropped.any()) {
+    std::vector<std::size_t> members;
+    dropped.for_each_set([&](std::size_t v) { members.push_back(v); });
+    dropped.reset(members[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(members.size()) - 1))]);
+  }
+  sets.emplace_back("dropped", dropped);
+  return sets;
+}
+
+TEST(RoutingTest, CachedRowsMatchPerCallBfsOnEveryPair) {
+  // Every ordered pair, every gateway's table, on random snapshots from
+  // n = 3 to 120: the cached-row router must give the per-call-BFS
+  // router's path and failure string exactly.
+  Xoshiro256 rng(1717);
+  const Field field = Field::paper_field();
+  for (const int n : {3, 4, 5, 8, 13, 21, 34, 55, 89, 120}) {
+    const std::vector<Vec2> positions = random_placement(n, field, rng);
+    const Graph g = build_udg(positions, kPaperRadius);
+    for (const auto& [label, gateways] : gateway_sets(g, rng)) {
+      const std::string where = "n=" + std::to_string(n) + " " + label;
+      const DominatingSetRouter router(g, gateways);
+      const ReferenceRouter reference(g, gateways);
+      for (NodeId s = 0; s < n; ++s) {
+        for (NodeId t = 0; t < n; ++t) {
+          const RouteResult got = router.route(s, t);
+          const RouteResult want = reference.route(s, t);
+          ASSERT_EQ(got.delivered, want.delivered) << where << " " << s
+                                                   << "->" << t;
+          ASSERT_EQ(got.path, want.path) << where << " " << s << "->" << t;
+          ASSERT_EQ(got.failure, want.failure) << where << " " << s << "->"
+                                               << t;
+          const auto hops = router.route_hops(s, t);
+          ASSERT_EQ(hops.has_value(), want.delivered) << where;
+          if (hops) {
+            ASSERT_EQ(*hops, static_cast<NodeId>(want.path.size() - 1));
+          }
+        }
+      }
+      gateways.for_each_set([&](std::size_t gw) {
+        const auto id = static_cast<NodeId>(gw);
+        expect_same_tables(router.routing_table(id),
+                           reference.routing_table(id),
+                           where + " table of " + std::to_string(gw));
+      });
+    }
+  }
+}
+
+TEST(RoutingTest, QueryOrderDoesNotChangeAnswers) {
+  // Rows are filled in the order queries need them; two routers on one
+  // snapshot, one asked forward and one backward (tables first), agree.
+  Xoshiro256 rng(99);
+  const auto placed = random_connected_placement(60, Field::paper_field(),
+                                                 kPaperRadius, rng, 500);
+  ASSERT_TRUE(placed.has_value());
+  const Graph& g = placed->graph;
+  const CdsResult cds = compute_cds(g, RuleSet::kND);
+  const DominatingSetRouter forward(g, cds.gateways);
+  const DominatingSetRouter backward(g, cds.gateways);
+  const NodeId n = g.num_nodes();
+  std::vector<RouteResult> first;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) first.push_back(forward.route(s, t));
+  }
+  std::vector<NodeId> gws;
+  cds.gateways.for_each_set(
+      [&](std::size_t v) { gws.push_back(static_cast<NodeId>(v)); });
+  std::vector<std::vector<GatewayTableEntry>> tables;
+  for (auto it = gws.rbegin(); it != gws.rend(); ++it) {
+    tables.push_back(backward.routing_table(*it));
+  }
+  for (NodeId s = n - 1; s >= 0; --s) {
+    for (NodeId t = n - 1; t >= 0; --t) {
+      const RouteResult r = backward.route(s, t);
+      const RouteResult& f =
+          first[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
+                static_cast<std::size_t>(t)];
+      ASSERT_EQ(r.path, f.path) << s << "->" << t;
+      ASSERT_EQ(r.failure, f.failure) << s << "->" << t;
+    }
+  }
+  for (std::size_t i = 0; i < gws.size(); ++i) {
+    expect_same_tables(forward.routing_table(gws[gws.size() - 1 - i]),
+                       tables[i], "table of " + std::to_string(i));
   }
 }
 

@@ -554,6 +554,54 @@ TEST(ServeSocketTest, HalfCloseAnswersTheUnterminatedLastRequest) {
   EXPECT_EQ(responses[1].find("op")->as_string(), "status");
 }
 
+TEST(ServeSocketTest, ClientClosingBeforeItsReplyDoesNotStopTheServer) {
+  // A client that sends a request and closes at once must cost only its own
+  // reply: no SIGPIPE, and the next client is served. The holder keeps the
+  // server busy until the early client has closed, so the reply always
+  // meets a closed peer.
+  const std::string path =
+      "/tmp/pacds-serve-early-" + std::to_string(::getpid()) + ".sock";
+  std::ostringstream unused;
+  Server server(ServeOptions{}, unused);
+  std::atomic<bool> done{false};
+  int status = -1;
+  std::thread thread([&] {
+    status = server.run_unix_socket(path);
+    done = true;
+  });
+  std::string reply;
+  const int holder = connect_to(path, done);
+  const int early = holder >= 0 ? connect_to(path, done) : -1;
+  if (early >= 0) {
+    const std::string request = R"({"op":"status","tenant":"x"})" "\n";
+    EXPECT_EQ(::write(early, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+    ::close(early);
+    (void)send_and_half_close(holder, "");
+    const int client = connect_to(path, done);
+    if (client >= 0) {
+      reply = send_and_half_close(
+          client,
+          R"({"op":"create","tenant":"a","config":{"n":8},"trials":1})"
+          "\n"
+          R"({"op":"status","tenant":"a"})" "\n");
+    }
+    const int closer = connect_to(path, done);
+    if (closer >= 0) {
+      (void)send_and_half_close(closer, R"({"op":"shutdown"})" "\n");
+    }
+  } else if (holder >= 0) {
+    (void)send_and_half_close(holder, R"({"op":"shutdown"})" "\n");
+  }
+  thread.join();
+  ASSERT_GE(early, 0) << "cannot connect to " << path;
+  EXPECT_EQ(status, 0);
+  const auto responses = records_of_type(reply, "serve_response");
+  ASSERT_EQ(responses.size(), 2u) << reply;
+  EXPECT_EQ(responses[0].find("op")->as_string(), "create");
+  EXPECT_EQ(responses[1].find("op")->as_string(), "status");
+}
+
 #endif  // __unix__
 
 }  // namespace

@@ -7,7 +7,9 @@
 // The guarantee covers the serial steady state and, because localized delta
 // updates never touch the executor, also holds when an intra-interval thread
 // pool is configured (the pool only serves full refreshes). The full-rebuild
-// engine gets the same audit: its warm intervals reuse every buffer too.
+// engine gets the same audit: its warm intervals reuse every buffer too,
+// under the pairwise rules and under Rule k. A router whose backbone rows
+// are cached allocates only the path of each route.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "net/rng.hpp"
 #include "net/space.hpp"
 #include "net/topology.hpp"
+#include "routing/routing.hpp"
 #include "sim/engine.hpp"
 #include "sim/lifetime.hpp"
 
@@ -139,19 +142,13 @@ TEST(ZeroAllocTest, TiledSteadyStateAllocatesNothing) {
 
 class FullRebuildZeroAllocTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(FullRebuildZeroAllocTest, WarmIntervalsAllocateNothing) {
-  // The paper's own loop: links and the sequential EL1 backbone rebuilt
-  // from scratch every interval. Once warm, the bulk link build, the key
-  // order, the dense rows and the result bitsets all reuse engine-owned
-  // storage. The threaded case shards the marking pass through the pool.
-  SimConfig config;
+/// Allocations over 50 warm full-rebuild intervals of `config` (n = 100,
+/// fixed positions, draining levels) after 10 warm-up intervals.
+std::size_t warm_full_rebuild_allocations(SimConfig config) {
   config.n_hosts = 100;
-  config.rule_set = RuleSet::kEL1;
-  config.cds_options.strategy = Strategy::kSequential;
   config.engine = SimEngine::kFullRebuild;
-  config.threads = GetParam();
   const auto engine = make_lifetime_engine(config);
-  ASSERT_EQ(engine->name(), "full-rebuild");
+  EXPECT_EQ(engine->name(), "full-rebuild");
 
   Xoshiro256 rng(2002);
   const Field field(config.field_width, config.field_height, config.boundary);
@@ -159,11 +156,41 @@ TEST_P(FullRebuildZeroAllocTest, WarmIntervalsAllocateNothing) {
   std::vector<double> levels(static_cast<std::size_t>(config.n_hosts),
                              config.initial_energy);
   run_intervals(*engine, positions, levels, 10);
-
-  const std::size_t allocs = count_allocations(
+  return count_allocations(
       [&] { run_intervals(*engine, positions, levels, 50); });
+}
+
+TEST_P(FullRebuildZeroAllocTest, WarmIntervalsAllocateNothing) {
+  // The paper's own loop: links and the sequential EL1 backbone rebuilt
+  // from scratch every interval. Once warm, the bulk link build, the key
+  // order, the dense rows and the result bitsets all reuse engine-owned
+  // storage. The threaded case shards the marking pass through the pool.
+  SimConfig config;
+  config.rule_set = RuleSet::kEL1;
+  config.cds_options.strategy = Strategy::kSequential;
+  config.threads = GetParam();
+  const std::size_t allocs = warm_full_rebuild_allocations(config);
   EXPECT_EQ(allocs, 0u)
       << allocs << " allocation(s) leaked into warm full-rebuild intervals";
+}
+
+TEST_P(FullRebuildZeroAllocTest, WarmRuleKIntervalsAllocateNothing) {
+  // Rule k's candidate list, union-find and component cover come from the
+  // workspace lane the pass holds: lane 0 in the sequential sweep, the
+  // shard's lane in the simultaneous pass (sharded when threaded).
+  for (const Strategy strategy :
+       {Strategy::kSequential, Strategy::kSimultaneous}) {
+    SimConfig config;
+    config.custom_key = KeyKind::kEnergyId;
+    config.use_rule_k = true;
+    config.cds_options.strategy = strategy;
+    config.threads = GetParam();
+    const std::size_t allocs = warm_full_rebuild_allocations(config);
+    EXPECT_EQ(allocs, 0u) << allocs
+                          << " allocation(s) leaked into warm Rule k "
+                             "intervals under "
+                          << to_string(strategy);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndThreaded, FullRebuildZeroAllocTest,
@@ -198,6 +225,33 @@ TEST_P(ZeroAllocTest, MetricsRecordingStaysAllocationFree) {
   EXPECT_EQ(allocs, 0u)
       << allocs << " allocation(s) leaked into the observed steady state";
   EXPECT_GT(registry.counter(obs::Counter::kLocalizedUpdates), 0u);
+}
+
+TEST(ZeroAllocTest, CachedRouteAllocatesOnlyItsPath) {
+  // Once every source gateway's backbone row is cached, route() reads the
+  // rows and writes the path in place: one allocation, the path itself.
+  Xoshiro256 rng(2003);
+  const auto placed = random_connected_placement(60, Field::paper_field(),
+                                                 kPaperRadius, rng, 500);
+  ASSERT_TRUE(placed.has_value());
+  const Graph& g = placed->graph;
+  const DominatingSetRouter router(g, compute_cds(g, RuleSet::kND).gateways);
+  const NodeId n = g.num_nodes();
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) (void)router.route(s, t);
+  }
+  std::size_t backbone_routes = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      RouteResult route;
+      const std::size_t allocs =
+          count_allocations([&] { route = router.route(s, t); });
+      ASSERT_TRUE(route.delivered) << s << "->" << t;
+      EXPECT_EQ(allocs, 1u) << s << "->" << t;
+      if (route.path.size() > 3) ++backbone_routes;
+    }
+  }
+  EXPECT_GT(backbone_routes, 0u);
 }
 
 TEST(ZeroAllocTest, HookCountsAllocations) {
