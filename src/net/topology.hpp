@@ -20,7 +20,9 @@ namespace pacds {
 
 /// Repeatedly samples placements until the resulting unit-disk graph is
 /// connected, up to `max_retries` attempts; nullopt if none was connected
-/// (callers decide whether to accept a disconnected fallback).
+/// (callers decide whether to accept a disconnected fallback). Attempts
+/// share one position buffer, link builder, graph and connectivity scratch,
+/// so a retry allocates nothing.
 struct ConnectedPlacement {
   std::vector<Vec2> positions;
   Graph graph;
@@ -29,7 +31,7 @@ struct ConnectedPlacement {
 
 [[nodiscard]] std::optional<ConnectedPlacement> random_connected_placement(
     int n, const Field& field, double radius, Xoshiro256& rng,
-    int max_retries = 1000, UdgMethod method = UdgMethod::kGrid);
+    int max_retries = 1000);
 
 /// The paper's transmission radius.
 inline constexpr double kPaperRadius = 25.0;

@@ -192,6 +192,21 @@ TEST(CliTest, ScenarioMissingFileFails) {
   EXPECT_NE(r.err.find("cannot open"), std::string::npos);
 }
 
+TEST(CliTest, ScenarioHostOffTheCellGridFails) {
+  // A finite coordinate whose cell index would overflow the link builder's
+  // neighbour arithmetic is refused with an error, not built.
+  const std::string path = ::testing::TempDir() + "/pacds_cli_far.txt";
+  {
+    std::ofstream file(path);
+    file << "radius 25\nhosts 3\n0 0 1\n10 0 1\n1e21 0 1\n";
+  }
+  const CliRun r = run_cli({"cds", "--scenario", path});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error:"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("host 2"), std::string::npos) << r.err;
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, SaveScenarioNeedsPositions) {
   const std::string graph_path = ::testing::TempDir() + "/pacds_cli_g.txt";
   {

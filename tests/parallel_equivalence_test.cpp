@@ -88,9 +88,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          RuleSet::kEL2),
                        ::testing::Values(std::size_t{2}, std::size_t{3},
                                          std::size_t{8})),
-    [](const ::testing::TestParamInfo<KernelEquivalenceTest::ParamType>& info) {
-      return to_string(std::get<0>(info.param)) + "_lanes" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<KernelEquivalenceTest::ParamType>&
+           param_info) {
+      return to_string(std::get<0>(param_info.param)) + "_lanes" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(KernelEquivalenceTest, CustomKeyAndRuleKMatchSerial) {
@@ -203,10 +204,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(RuleSet::kID, RuleSet::kND,
                                          RuleSet::kEL1, RuleSet::kEL2),
                        ::testing::Values(0.5, 0.95)),
-    [](const ::testing::TestParamInfo<TrialEquivalenceTest::ParamType>& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_" +
-             to_string(std::get<1>(info.param)) + "_stay" +
-             std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
+    [](const ::testing::TestParamInfo<TrialEquivalenceTest::ParamType>&
+           param_info) {
+      return "t" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             to_string(std::get<1>(param_info.param)) + "_stay" +
+             std::to_string(
+                 static_cast<int>(std::get<2>(param_info.param) * 100));
     });
 
 TEST(TrialEquivalenceTest, HardwareConcurrencyKnob) {

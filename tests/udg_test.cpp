@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -234,9 +237,59 @@ TEST_P(UdgAgreementTest, NaiveEqualsGrid) {
   EXPECT_EQ(naive, grid) << "n=" << n << " r=" << radius;
 }
 
+/// A step of length exactly r (an integer) that is nonzero exactly on the
+/// axes where (ox, oy, oz) is, with their signs: integer components whose
+/// squares sum to r². nullopt when r has no such split (no r = 5 step has
+/// three nonzero components).
+std::optional<Vec2> exact_step(int r, int ox, int oy, int oz) {
+  for (int a = 0; a <= r; ++a) {
+    for (int b = 0; a * a + b * b <= r * r; ++b) {
+      const int c2 = r * r - a * a - b * b;
+      const auto c = static_cast<int>(std::lround(std::sqrt(c2)));
+      if (c * c == c2 && (a > 0) == (ox != 0) && (b > 0) == (oy != 0) &&
+          (c > 0) == (oz != 0)) {
+        return Vec2{static_cast<double>(ox * a), static_cast<double>(oy * b),
+                    static_cast<double>(oz * c)};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// One pair at exactly r across each of the 13 forward cell offsets
+/// (dx, dy, dz) — (0, 0, 1), (0, 1, *) and (1, *, *) — that r admits, the
+/// k-th pair shifted by k * spacing along x. Per axis the first host sits
+/// at r - 1 (the partner crosses into the next cell), at 0 (the partner
+/// crosses into the previous one) or mid-cell (same cell). Spacing 4r
+/// isolates the pairs in a box sparse enough for the comparison sort;
+/// spacing 0 packs them around one cell, binned by counting.
+std::vector<Vec2> forward_offset_pairs(int r, double spacing) {
+  std::vector<Vec2> pts;
+  double block = 0.0;
+  for (int dx = 0; dx <= 1; ++dx) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dz = -1; dz <= 1; ++dz) {
+        if (dx == 0 && (dy < 0 || (dy == 0 && dz <= 0))) continue;
+        const auto step = exact_step(r, dx, dy, dz);
+        if (!step) continue;
+        const auto start = [r](int o) {
+          return o > 0 ? r - 1.0 : o < 0 ? 0.0 : r / 2.0;
+        };
+        const Vec2 a{block + start(dx), start(dy), start(dz)};
+        pts.push_back(a);
+        pts.push_back(a + *step);
+        block += spacing;
+      }
+    }
+  }
+  return pts;
+}
+
 /// Adversarial point sets over the same random base: hosts parked far off
 /// the field (park_position in sim/faults.hpp), negative coordinates, 3-D
-/// positions, coincident points and a lattice of pairs at exactly r.
+/// positions, coincident points, a lattice of pairs at exactly r, pairs at
+/// exactly r spread over ±1e6, and pairs at exactly r across every forward
+/// 3-D cell offset, isolated and packed.
 std::vector<std::pair<std::string, std::vector<Vec2>>> adversarial_sets(
     int n, double radius, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -275,6 +328,28 @@ std::vector<std::pair<std::string, std::vector<Vec2>>> adversarial_sets(
                        step * static_cast<double>(i / 7 - 3)});
   }
   sets.emplace_back("lattice", std::move(lattice));
+
+  // Integer hosts over ±1e6, each odd one exactly r from the one before
+  // (the radii here are multiples of 5, so 3r/5 and 4r/5 are integers):
+  // an occupied box of far more than four cells per host, binned by the
+  // comparison sort once there is more than one pair.
+  std::vector<Vec2> spread;
+  const Vec2 steps[] = {{radius, 0.0},
+                        {0.0, -radius},
+                        {3.0 * radius / 5.0, 4.0 * radius / 5.0},
+                        {-4.0 * radius / 5.0, 3.0 * radius / 5.0}};
+  for (int i = 0; i < n; ++i) {
+    spread.push_back(i % 2 == 1 ? spread.back() + steps[(i / 2) % 4]
+                                : Vec2{std::round(rng.uniform(-1e6, 1e6)),
+                                       std::round(rng.uniform(-1e6, 1e6))});
+  }
+  sets.emplace_back("sparse-box", std::move(spread));
+
+  sets.emplace_back("3d-offsets",
+                    forward_offset_pairs(static_cast<int>(radius),
+                                         4.0 * radius));
+  sets.emplace_back("3d-offsets-packed",
+                    forward_offset_pairs(static_cast<int>(radius), 0.0));
   return sets;
 }
 
@@ -291,7 +366,7 @@ TEST_P(UdgAgreementTest, NaiveEqualsGridOnAdversarialSets) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomPlacements, UdgAgreementTest,
-    ::testing::Combine(::testing::Values(2, 10, 50, 150),
+    ::testing::Combine(::testing::Values(2, 10, 50, 150, 400),
                        ::testing::Values(5.0, 25.0, 60.0),
                        ::testing::Values(101u, 202u, 303u)),
     [](const ::testing::TestParamInfo<UdgAgreementTest::ParamType>& param_info) {
@@ -299,6 +374,21 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(std::get<1>(param_info.param))) +
              "_s" + std::to_string(std::get<2>(param_info.param));
     });
+
+TEST(UdgTest, ForwardOffsetPairsCoverEveryOffsetAtExactlyR) {
+  // The "3d-offsets" set does what it claims: at r = 25 and 60 every one
+  // of the 13 forward offsets has its pair, linked at exactly r and not a
+  // hair below.
+  for (const int r : {25, 60}) {
+    const auto pts = forward_offset_pairs(r, 4.0 * r);
+    ASSERT_EQ(pts.size(), 26u) << "r=" << r;
+    const Graph g = build_udg(pts, r, UdgMethod::kNaive);
+    EXPECT_EQ(g.num_edges(), 13u) << "r=" << r;
+    EXPECT_EQ(build_udg(pts, r), g) << "r=" << r;
+    EXPECT_EQ(build_udg(pts, std::nextafter(r, 0.0)).num_edges(), 0u)
+        << "r=" << r;
+  }
+}
 
 // ---- Bulk link builder -------------------------------------------------
 
@@ -421,6 +511,75 @@ TEST(LinkBuilderTest, BulkGraphInvariants) {
       }
     }
   }
+}
+
+/// The message of the std::invalid_argument `fn` throws; fails the test
+/// when it throws nothing.
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no std::invalid_argument";
+  return "";
+}
+
+TEST(LinkBuilderTest, RejectsHostsOffTheCellGrid) {
+  // floor(coord / cell) must stay inside ±2^62 so that neighbour cells
+  // never overflow; a non-finite coordinate has no cell at all.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {1e21, -1e21, inf, -inf, nan}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      std::vector<Vec2> pts{{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}};
+      (axis == 0 ? pts[2].x : axis == 1 ? pts[2].y : pts[2].z) = bad;
+      const std::string what = "bad=" + std::to_string(bad) +
+                               " axis=" + std::to_string(axis);
+      Graph g;
+      LinkBuilder builder;
+      EXPECT_NE(invalid_argument_message([&] {
+                  builder.build(pts, kPaperRadius, g);
+                }).find("host 2"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(invalid_argument_message([&] {
+                  (void)build_udg(pts, 0.0);
+                }).find("host 2"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(invalid_argument_message([&] {
+                  const SpatialGrid grid(pts, kPaperRadius);
+                }).find("host 2"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // The limit is on the cell index, not the coordinate: a tiny radius
+  // pushes an ordinary coordinate off the grid, a huge one brings 1e21 in.
+  EXPECT_THROW((void)build_udg({{0.0, 0.0}, {1.0, 0.0}}, 1e-300),
+               std::invalid_argument);
+  EXPECT_EQ(build_udg({{0.0, 0.0}, {1e21, 0.0}}, 1e10).num_edges(), 0u);
+  EXPECT_EQ(build_udg({{1e21, 0.0}, {1e21, 5e9}}, 1e10).num_edges(), 1u);
+}
+
+TEST(SpatialGridTest, RejectsQueriesAndMovesOffTheCellGrid) {
+  std::vector<Vec2> pts{{0.0, 0.0}, {1.0, 0.0}};
+  SpatialGrid grid(pts, 5.0);
+  EXPECT_NE(invalid_argument_message([&] {
+              (void)grid.query({1e21, 0.0}, 5.0);
+            }).find("query point"),
+            std::string::npos);
+  const Vec2 old_pos = pts[1];
+  pts[1] = {0.0, -1e21};
+  EXPECT_NE(invalid_argument_message([&] {
+              grid.move(1, old_pos, pts[1]);
+            }).find("host 1"),
+            std::string::npos);
+  // The failed move left host 1 filed where it was.
+  pts[1] = old_pos;
+  EXPECT_EQ(grid.query({0.0, 0.0}, 5.0, 0), (std::vector<NodeId>{1}));
 }
 
 }  // namespace
