@@ -336,7 +336,32 @@ NodeId Graph::num_components() const {
   return static_cast<NodeId>(max_id + 1);
 }
 
-bool Graph::is_connected() const { return n_ <= 1 || num_components() == 1; }
+bool Graph::is_connected() const {
+  std::vector<NodeId> stack;
+  std::vector<char> seen;
+  return is_connected(stack, seen);
+}
+
+bool Graph::is_connected(std::vector<NodeId>& stack,
+                         std::vector<char>& seen) const {
+  if (n_ <= 1) return true;
+  seen.assign(static_cast<std::size_t>(n_), 0);
+  stack.clear();
+  seen[0] = 1;
+  stack.push_back(0);
+  NodeId reached = 1;
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    for (const NodeId v : neighbors(u)) {
+      if (seen[static_cast<std::size_t>(v)] != 0) continue;
+      seen[static_cast<std::size_t>(v)] = 1;
+      ++reached;
+      stack.push_back(v);
+    }
+  }
+  return reached == n_;
+}
 
 bool Graph::is_complete() const {
   if (n_ <= 1) return true;

@@ -119,6 +119,10 @@ class Graph {
   [[nodiscard]] NodeId num_components() const;
 
   [[nodiscard]] bool is_connected() const;
+  /// As above, walking from node 0 over the caller's `stack` and `seen`
+  /// buffers, so repeated tests allocate nothing once both have grown to n.
+  [[nodiscard]] bool is_connected(std::vector<NodeId>& stack,
+                                  std::vector<char>& seen) const;
 
   /// True iff every pair of distinct vertices is adjacent (K_n); vacuously
   /// true for n <= 1.

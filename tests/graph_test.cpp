@@ -208,6 +208,23 @@ TEST(GraphTest, SingleNodeConnected) {
   EXPECT_EQ(g.num_components(), 1);
 }
 
+TEST(GraphTest, IsConnectedReusesCallerScratch) {
+  // One pair of buffers across graphs of different sizes; stale contents
+  // from a larger graph must not leak into a smaller one.
+  std::vector<NodeId> stack;
+  std::vector<char> seen;
+  EXPECT_TRUE(path_graph(7).is_connected(stack, seen));
+  EXPECT_EQ(seen.size(), 7u);
+  Graph split(4);
+  split.add_edge(0, 1);
+  split.add_edge(2, 3);
+  EXPECT_FALSE(split.is_connected(stack, seen));
+  split.add_edge(1, 2);
+  EXPECT_TRUE(split.is_connected(stack, seen));
+  EXPECT_TRUE(Graph(0).is_connected(stack, seen));
+  EXPECT_FALSE(Graph(2).is_connected(stack, seen));
+}
+
 TEST(GraphTest, IsComplete) {
   EXPECT_TRUE(complete_graph(4).is_complete());
   EXPECT_FALSE(path_graph(4).is_complete());
