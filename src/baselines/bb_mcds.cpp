@@ -434,7 +434,7 @@ std::optional<DynBitset> bb_min_cds(const Graph& g, const BbOptions& options,
   const auto n = static_cast<std::size_t>(g.num_nodes());
   DynBitset result(n);
   const std::vector<NodeId> component_of = g.components();
-  const NodeId num_components = g.num_components();
+  const NodeId num_components = Graph::count_components(component_of);
   for (NodeId comp = 0; comp < num_components; ++comp) {
     DynBitset keep(n);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {

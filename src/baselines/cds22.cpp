@@ -137,7 +137,7 @@ Cds22Check check_cds22(const Graph& g, const DynBitset& set) {
     return result;
   }
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
   std::vector<std::vector<NodeId>> members(static_cast<std::size_t>(ncomp));
   for (NodeId v = 0; v < n; ++v) {
     members[static_cast<std::size_t>(comp[static_cast<std::size_t>(v)])]
@@ -204,7 +204,7 @@ Cds22Result greedy_cds22(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   Cds22Result out{DynBitset(n), false};
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
   for (NodeId c = 0; c < ncomp; ++c) {
     DynBitset keep(n);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {

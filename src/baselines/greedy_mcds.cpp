@@ -31,7 +31,7 @@ DynBitset greedy_mcds(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   DynBitset cds(n);
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
   for (NodeId c = 0; c < ncomp; ++c) {
     // Collect the component and find its max-degree seed.
     std::vector<NodeId> nodes;

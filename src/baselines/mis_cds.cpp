@@ -132,7 +132,7 @@ DynBitset connect_dominating_seed(const Graph& g, DynBitset cds) {
     if (g.degree(v) == 0) cds.reset(static_cast<std::size_t>(v));
   }
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
   for (NodeId c = 0; c < ncomp; ++c) {
     DynBitset in_comp(n);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -13,7 +13,7 @@ DynBitset bfs_tree_cds(const Graph& g, bool prune) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   DynBitset cds(n);
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
 
   std::vector<char> visited(n, 0);
   std::vector<char> has_child(n, 0);

@@ -115,6 +115,12 @@ class Graph {
   /// Component id per node (0-based, components numbered by discovery).
   [[nodiscard]] std::vector<NodeId> components() const;
 
+  /// Number of components in a components() labelling: labels run 0..k-1,
+  /// so k is one past the largest (0 for the empty graph). Callers holding
+  /// the labels take the count here instead of labelling again.
+  [[nodiscard]] static NodeId count_components(
+      const std::vector<NodeId>& labels);
+
   /// Number of connected components (0 for the empty graph).
   [[nodiscard]] NodeId num_components() const;
 

@@ -62,7 +62,7 @@ void apply_clique_policy(const Graph& g, const PriorityKey& key,
                          CliquePolicy policy, DynBitset& marked) {
   if (policy == CliquePolicy::kNone) return;
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
   // Track, per component, whether any node is marked and its key-max node.
   std::vector<char> has_marked(static_cast<std::size_t>(ncomp), 0);
   std::vector<NodeId> best(static_cast<std::size_t>(ncomp), -1);

@@ -42,7 +42,7 @@ CdsCheck check_cds(const Graph& g, const DynBitset& set,
     return result;
   }
   const auto comp = g.components();
-  const NodeId ncomp = g.num_components();
+  const NodeId ncomp = Graph::count_components(comp);
   std::vector<std::vector<NodeId>> members(static_cast<std::size_t>(ncomp));
   for (NodeId v = 0; v < n; ++v) {
     members[static_cast<std::size_t>(comp[static_cast<std::size_t>(v)])]

@@ -1,6 +1,5 @@
 #include "io/json_parse.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -295,41 +294,6 @@ JsonValue load_json_file(const std::string& path) {
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
-}
-
-void JsonReader::fail(const std::string& message) const {
-  throw std::runtime_error(std::string(prefix_) + message);
-}
-
-const std::string& JsonReader::string_of(const JsonValue& value,
-                                         const std::string& what) const {
-  if (!value.is_string()) fail(what + " must be a string");
-  return value.as_string();
-}
-
-double JsonReader::number_of(const JsonValue& value,
-                             const std::string& what) const {
-  if (!value.is_number()) fail(what + " must be a number");
-  const double raw = value.as_number();
-  if (!std::isfinite(raw)) fail(what + " must be finite");
-  return raw;
-}
-
-long JsonReader::integer_of(const JsonValue& value, const std::string& what,
-                            double lo, double hi) const {
-  const double raw = number_of(value, what);
-  if (raw != std::floor(raw) || raw < lo || raw > hi) {
-    fail(what + " must be an integer in [" +
-         std::to_string(static_cast<long long>(lo)) + ", " +
-         std::to_string(static_cast<long long>(hi)) + "]");
-  }
-  return static_cast<long>(raw);
-}
-
-bool JsonReader::bool_of(const JsonValue& value,
-                         const std::string& what) const {
-  if (!value.is_bool()) fail(what + " must be a boolean");
-  return value.as_bool();
 }
 
 void write_json(JsonWriter& writer, const JsonValue& value) {

@@ -16,8 +16,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/enum_names.hpp"
-
 namespace pacds {
 
 class JsonValue;
@@ -91,42 +89,5 @@ void write_json(JsonWriter& writer, const JsonValue& value);
 /// or shares its double with a neighbour (2^53 + 1 parses as 2^53). Seeds
 /// on the wire are bounded by it so they round-trip bit for bit.
 inline constexpr double kMaxExactJsonInteger = 9007199254740991.0;
-
-/// Checked member readers for the strict schemas built on parse_json (the
-/// SimConfig wire format, fault plans, serve requests, corpus files). Each
-/// throws std::runtime_error "<prefix><what> must be ..." on a type or
-/// range mismatch. Numbers must be finite: a document can spell 1e400,
-/// which parses as inf, and JsonWriter writes inf as null, so an accepted
-/// inf would write back out as a document that no longer parses.
-class JsonReader {
- public:
-  /// `prefix` ("fault plan: ") must outlive the reader.
-  constexpr explicit JsonReader(std::string_view prefix) : prefix_(prefix) {}
-
-  /// Throws std::runtime_error(prefix + message).
-  [[noreturn]] void fail(const std::string& message) const;
-
-  [[nodiscard]] const std::string& string_of(const JsonValue& value,
-                                             const std::string& what) const;
-  [[nodiscard]] double number_of(const JsonValue& value,
-                                 const std::string& what) const;
-  /// An integer-valued number in [lo, hi] (integral bounds).
-  [[nodiscard]] long integer_of(const JsonValue& value, const std::string& what,
-                                double lo, double hi) const;
-  [[nodiscard]] bool bool_of(const JsonValue& value,
-                             const std::string& what) const;
-
-  /// A string naming a row of E's name table (core/enum_names.hpp).
-  template <NamedEnum E>
-  [[nodiscard]] E enum_of(const JsonValue& value,
-                          const std::string& what) const {
-    const std::string& name = string_of(value, what);
-    if (const auto parsed = enum_from_name<E>(name)) return *parsed;
-    fail(what + ": unknown value \"" + name + "\"");
-  }
-
- private:
-  std::string_view prefix_;
-};
 
 }  // namespace pacds

@@ -2,16 +2,14 @@
 
 #include <sstream>
 
-#include "io/json.hpp"
-#include "io/json_parse.hpp"
+#include "io/json_fields.hpp"
 #include "sim/config_json.hpp"
 
 namespace pacds::serve {
 
 namespace {
 
-constexpr std::string_view kPrefix = "serve: ";
-constexpr JsonReader kIn(kPrefix);
+constexpr JsonReader kIn("serve: ");
 
 [[noreturn]] void fail(const std::string& message) { kIn.fail(message); }
 
@@ -26,6 +24,21 @@ bool op_takes(Op op, const std::string& key) {
 }
 
 }  // namespace
+
+// The request schema (protocol.hpp). parse_request walks this list after
+// its per-op key whitelist; `seq` and `has_faults` are not on the wire.
+template <ConstOr<Request> R, typename Visit>
+void fields(R& r, Visit&& visit) {
+  visit("op", r.op);
+  visit("tenant", r.tenant);
+  // Documents of their own: the config keeps its checks under this
+  // module's prefix, the plan its checks and its own "fault plan: " prefix.
+  visit("config", r.config);
+  visit("seed", r.seed, Range{0, kMaxExactJsonInteger});
+  visit("trials", r.trials, Range{1, 1e6});
+  visit("faults", r.faults);
+  visit("intervals", r.intervals, Range{0, 1e9});
+}
 
 const char* error_code_name(ErrorCode code) noexcept {
   switch (code) {
@@ -65,45 +78,29 @@ std::optional<Request> parse_request(std::string_view line, std::uint64_t seq,
     if (!doc.is_object()) fail("request must be a JSON object");
     const JsonValue* op_value = doc.find("op");
     if (op_value == nullptr) fail("request needs an \"op\" key");
-    request.op = kIn.enum_of<Op>(*op_value, "op");
+    read_value(kIn, *op_value, "op", request.op);
 
-    bool have_config = false;
     for (const auto& [key, value] : doc.as_object()) {
-      if (key == "op") continue;
-      if (!op_takes(request.op, key)) {
+      if (key != "op" && !op_takes(request.op, key)) {
         fail("op \"" + to_string(request.op) + "\" does not take key \"" +
              key + "\"");
       }
-      if (key == "tenant") {
-        request.tenant = kIn.string_of(value, "tenant");
-        if (!valid_tenant_name(request.tenant)) {
-          fail("tenant must be 1-64 chars of [A-Za-z0-9._-]");
-        }
-      } else if (key == "config") {
-        parse_sim_config_json(value, request.config, kPrefix);
-        have_config = true;
-      } else if (key == "seed") {
-        request.seed = static_cast<std::uint64_t>(
-            kIn.integer_of(value, "seed", 0, 9e15));
-      } else if (key == "trials") {
-        request.trials = kIn.integer_of(value, "trials", 1, 1e6);
-      } else if (key == "faults") {
-        // The fault-plan parser reads the value itself, so serve shares its
-        // strict schema and range rules exactly.
-        request.faults = parse_fault_plan(value);
-        request.has_faults = true;
-      } else if (key == "intervals") {
-        request.intervals = kIn.integer_of(value, "intervals", 0, 1e9);
+    }
+    read_fields(kIn, doc, "", request);
+
+    if (request.op != Op::kShutdown) {
+      if (doc.find("tenant") == nullptr) {
+        fail("op \"" + to_string(request.op) + "\" needs a \"tenant\" key");
+      }
+      if (!valid_tenant_name(request.tenant)) {
+        fail("tenant must be 1-64 chars of [A-Za-z0-9._-]");
       }
     }
-
-    if (request.op != Op::kShutdown && request.tenant.empty()) {
-      fail("op \"" + to_string(request.op) + "\" needs a \"tenant\" key");
-    }
     if ((request.op == Op::kCreate || request.op == Op::kSweep) &&
-        !have_config) {
+        doc.find("config") == nullptr) {
       fail("op \"" + to_string(request.op) + "\" needs a \"config\" key");
     }
+    request.has_faults = doc.find("faults") != nullptr;
     if (request.has_faults) {
       validate_fault_plan(request.faults, request.config.n_hosts);
     }

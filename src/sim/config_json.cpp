@@ -1,31 +1,8 @@
 #include "sim/config_json.hpp"
 
-#include <concepts>
-#include <cstdint>
-#include <optional>
-#include <type_traits>
-
-#include "io/json.hpp"
-#include "io/json_parse.hpp"
+#include "io/json_fields.hpp"
 
 namespace pacds {
-namespace {
-
-/// Inclusive bounds of an integer wire key (unused for other kinds).
-struct Range {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// `T` is `U` or `const U`: one field list serves the parser, which fills a
-/// mutable struct, and the writer, which reads a const one.
-template <typename T, typename U>
-concept ConstOr = std::same_as<std::remove_const_t<T>, U>;
-
-template <typename T>
-inline constexpr bool kIsOptional = false;
-template <typename T>
-inline constexpr bool kIsOptional<std::optional<T>> = true;
 
 // The wire schema. Each list names every key of one JSON object once, in
 // the order the writer emits it, with the member it maps to and, for
@@ -108,71 +85,10 @@ void fields(C& c, Visit&& visit) {
   visit("connect_retries", c.connect_retries, Range{1, 1e6});
 }
 
-/// Writes `field` as a JSON value; a struct becomes an object of its list.
-template <typename T>
-void write_value(JsonWriter& json, const T& field) {
-  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double>) {
-    json.value(field);
-  } else if constexpr (std::is_enum_v<T>) {
-    json.value(std::string(enum_name(field)));
-  } else if constexpr (std::is_unsigned_v<T>) {
-    json.value(static_cast<std::size_t>(field));
-  } else if constexpr (std::is_integral_v<T>) {
-    json.value(static_cast<std::int64_t>(field));
-  } else if constexpr (kIsOptional<T>) {
-    if (field.has_value()) {
-      write_value(json, *field);
-    } else {
-      json.null();
-    }
-  } else {
-    json.begin_object();
-    fields(field, [&json](const char* key, const auto& member, Range = {}) {
-      json.key(key);
-      write_value(json, member);
-    });
-    json.end_object();
-  }
-}
-
-/// Reads `value` into `field`; `what` names it in errors ("config.n").
-template <typename T>
-void read_value(const JsonReader& in, const JsonValue& value,
-                const std::string& what, T& field, Range range = {}) {
-  if constexpr (std::is_same_v<T, bool>) {
-    field = in.bool_of(value, what);
-  } else if constexpr (std::is_same_v<T, double>) {
-    field = in.number_of(value, what);
-  } else if constexpr (std::is_enum_v<T>) {
-    field = in.enum_of<T>(value, what);
-  } else if constexpr (std::is_integral_v<T>) {
-    field = static_cast<T>(in.integer_of(value, what, range.lo, range.hi));
-  } else if constexpr (kIsOptional<T>) {
-    if (value.is_null()) {
-      field.reset();
-    } else {
-      read_value(in, value, what, field.emplace(), range);
-    }
-  } else {
-    if (!value.is_object()) in.fail(what + " must be an object");
-    for (const auto& [key, member] : value.as_object()) {
-      bool known = false;
-      fields(field, [&](const char* name, auto& target, Range bounds = {}) {
-        if (known || key != name) return;
-        known = true;
-        read_value(in, member, what + "." + key, target, bounds);
-      });
-      if (!known) in.fail(what + ": unknown key \"" + key + "\"");
-    }
-  }
-}
-
-}  // namespace
-
 void parse_sim_config_json(const JsonValue& value, SimConfig& config,
                            std::string_view prefix) {
   const JsonReader in(prefix);
-  read_value(in, value, "config", config);
+  read_fields(in, value, "config", config);
   if (!(config.radius > 0.0)) in.fail("config.radius must be > 0");
   if (!(config.field_width > 0.0) || !(config.field_height > 0.0)) {
     in.fail("config field dimensions must be > 0");
@@ -226,7 +142,16 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
 }
 
 void write_sim_config_json(JsonWriter& json, const SimConfig& config) {
-  write_value(json, config);
+  write_fields(json, config);
+}
+
+void read_document(const JsonReader& in, const JsonValue& value,
+                   SimConfig& config) {
+  parse_sim_config_json(value, config, in.prefix());
+}
+
+void write_document(JsonWriter& json, const SimConfig& config) {
+  write_sim_config_json(json, config);
 }
 
 }  // namespace pacds

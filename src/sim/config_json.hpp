@@ -12,6 +12,7 @@
 
 namespace pacds {
 
+class JsonReader;
 class JsonValue;
 class JsonWriter;
 
@@ -28,5 +29,13 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
 /// written by their name tables (enum_name), so DrainModel goes out by its
 /// wire name, not by its display label.
 void write_sim_config_json(JsonWriter& json, const SimConfig& config);
+
+/// Field-list hooks (io/json_fields.hpp): a SimConfig inside another
+/// document, the "config" of a corpus file or a serve request, is read by
+/// parse_sim_config_json with that document's error prefix and written by
+/// write_sim_config_json.
+void read_document(const JsonReader& in, const JsonValue& value,
+                   SimConfig& config);
+void write_document(JsonWriter& json, const SimConfig& config);
 
 }  // namespace pacds

@@ -31,6 +31,7 @@
 
 namespace pacds {
 
+class JsonReader;
 class JsonValue;
 class JsonWriter;
 
@@ -64,8 +65,9 @@ struct BlackoutSpec {
   long until = 0;
 };
 
-/// The full fault model of one run. All fields optional in the JSON form;
-/// defaults are the no-fault identity. See FAULTS.md for the schema.
+/// The full fault model of one run. Every section is optional in the JSON
+/// form and defaults to the no-fault identity; the keys inside an entry are
+/// not (see FAULTS.md for the schema).
 struct FaultPlan {
   std::uint64_t seed = 0;  ///< seeds the dist channel stream only
   std::vector<CrashSpec> crashes;
@@ -88,7 +90,8 @@ struct FaultPlan {
 /// Parses a plan object (strict; unknown keys are errors so typos fail
 /// loudly). Range rules: numbers finite, seed an integer in [0, 2^53 - 1],
 /// intervals >= 1, rates in [0, 1), amounts > 0, recover_at/until either 0
-/// or > at. Throws std::runtime_error naming the offending field. Serve
+/// or > at, rectangles not inverted, backoff_cap >= backoff_base. Throws
+/// std::runtime_error "fault plan: ..." naming the offending field. Serve
 /// requests and corpus files pass the "faults" value they already parsed.
 [[nodiscard]] FaultPlan parse_fault_plan(const JsonValue& doc);
 
@@ -102,8 +105,17 @@ struct FaultPlan {
 /// schema order) through a writer positioned to accept a value.
 void write_fault_plan(JsonWriter& json, const FaultPlan& plan);
 
-/// Node-range check against a concrete host count (parse_fault_plan cannot
-/// know n). Throws std::invalid_argument on an out-of-range node.
+/// Field-list hooks (io/json_fields.hpp): a plan inside another document,
+/// the "faults" of a corpus file or a serve request, is read by
+/// parse_fault_plan, with its own checks and "fault plan: " prefix, and
+/// written by write_fault_plan.
+void read_document(const JsonReader& in, const JsonValue& value,
+                   FaultPlan& plan);
+void write_document(JsonWriter& json, const FaultPlan& plan);
+
+/// Checks a plan built in code against the parser's range rules, and its
+/// node ids against a concrete host count (parse_fault_plan cannot know
+/// n). Throws std::invalid_argument "fault plan: ..." on a violation.
 void validate_fault_plan(const FaultPlan& plan, int n_hosts);
 
 /// One statically resolvable entry of a plan's schedule (blackout entries
