@@ -6,6 +6,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/workspace.hpp"
 
@@ -34,7 +35,7 @@
 #include "baselines/mis_cds.hpp"
 #include "baselines/tree_cds.hpp"
 #include "sim/engine.hpp"
-#include "sim/tiled_engine.hpp"
+#include "sim/config_json.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics_io.hpp"
 #include "sim/montecarlo.hpp"
@@ -42,6 +43,14 @@
 namespace pacds::cli {
 
 namespace {
+
+/// A bad flag or option value: run prints "error: <what>", then `usage`,
+/// and returns 2. Anything else a command throws ends it with exit 1.
+struct UsageError : std::runtime_error {
+  explicit UsageError(const std::string& what, std::string usage_text = "")
+      : std::runtime_error(what), usage(std::move(usage_text)) {}
+  std::string usage;
+};
 
 /// Graph source options shared by several subcommands.
 void add_graph_options(ArgParser& parser) {
@@ -61,39 +70,24 @@ struct LoadedGraph {
   double radius = kPaperRadius;
 };
 
-std::optional<LoadedGraph> load_graph(const ArgParser& parser,
-                                      std::ostream& err) {
+LoadedGraph load_graph(const ArgParser& parser) {
   const std::string input = parser.option("input");
   if (!input.empty()) {
     std::ifstream file(input);
-    if (!file) {
-      err << "error: cannot open " << input << "\n";
-      return std::nullopt;
-    }
-    try {
-      return LoadedGraph{read_edgelist(file), {}, {}, kPaperRadius};
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return std::nullopt;
-    }
+    if (!file) throw std::runtime_error("cannot open " + input);
+    return LoadedGraph{read_edgelist(file), {}, {}, kPaperRadius};
   }
   const std::string scenario_path = parser.option("scenario");
   if (!scenario_path.empty()) {
-    try {
-      Scenario scenario = load_scenario_file(scenario_path);
-      return LoadedGraph{scenario.graph(), std::move(scenario.positions),
-                         std::move(scenario.energies), scenario.radius};
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return std::nullopt;
-    }
+    Scenario scenario = load_scenario_file(scenario_path);
+    return LoadedGraph{scenario.graph(), std::move(scenario.positions),
+                       std::move(scenario.energies), scenario.radius};
   }
   const auto n = parser.option_int("random");
   const auto seed = parser.option_int("seed");
   const auto radius = parser.option_double("radius");
   if (!n || *n < 1 || !seed || !radius || *radius < 0.0) {
-    err << "error: bad --random/--seed/--radius values\n";
-    return std::nullopt;
+    throw std::runtime_error("bad --random/--seed/--radius values");
   }
   Xoshiro256 rng(static_cast<std::uint64_t>(*seed));
   if (auto placed = random_connected_placement(
@@ -101,9 +95,10 @@ std::optional<LoadedGraph> load_graph(const ArgParser& parser,
     return LoadedGraph{std::move(placed->graph), std::move(placed->positions),
                        {}, *radius};
   }
-  err << "error: no connected placement found for n=" << *n
-      << " r=" << *radius << " (try a larger radius)\n";
-  return std::nullopt;
+  std::ostringstream message;
+  message << "no connected placement found for n=" << *n << " r=" << *radius
+          << " (try a larger radius)";
+  throw std::runtime_error(message.str());
 }
 
 /// Energy levels for the EL schemes: the scenario's when provided, random
@@ -119,30 +114,25 @@ std::vector<double> energies_for(const LoadedGraph& loaded,
   return energy;
 }
 
-/// The value --<option> names in E's name table. An unknown name prints
-/// "error: unknown <option> '<value>'" and yields nullopt (exit code 2).
+/// The value --<option> names in E's name table. An unknown name is a
+/// UsageError "unknown <option> '<value>'".
 template <NamedEnum E>
-std::optional<E> option_enum(const ArgParser& parser, const std::string& option,
-                             std::ostream& err) {
+E option_enum(const ArgParser& parser, const std::string& option) {
   const std::string name = parser.option(option);
   const std::optional<E> value = enum_from_name<E>(name);
-  if (!value) err << "error: unknown " << option << " '" << name << "'\n";
-  return value;
+  if (!value) throw UsageError("unknown " + option + " '" + name + "'");
+  return *value;
 }
 
 /// Parses --scheme for the simulation commands: "all" or one scheme name.
 /// "all" stays the paper's five schemes; SEL is opt-in by name so the
 /// default sweeps keep reproducing the paper's tables unchanged.
-std::optional<std::vector<RuleSet>> parse_scheme_list(const ArgParser& parser,
-                                                      std::ostream& err) {
+std::vector<RuleSet> parse_scheme_list(const ArgParser& parser) {
   if (parser.option("scheme") == "all") {
     return std::vector<RuleSet>(std::begin(kAllRuleSets),
                                 std::end(kAllRuleSets));
   }
-  if (const auto rs = option_enum<RuleSet>(parser, "scheme", err)) {
-    return std::vector<RuleSet>{*rs};
-  }
-  return std::nullopt;
+  return {option_enum<RuleSet>(parser, "scheme")};
 }
 
 /// --model 1|2|3 (checked by the caller): the paper's drain Models 1-3, in
@@ -152,23 +142,28 @@ DrainModel drain_model_of(std::int64_t model) {
 }
 
 /// Opens --metrics when given; a default-constructed sink stays detached.
-/// Returns false when the path cannot be opened for writing.
-bool open_metrics(const std::string& path, std::ofstream& file,
-                  std::optional<obs::JsonlSink>& sink, std::ostream& err) {
-  if (path.empty()) return true;
+/// Throws when the path cannot be opened for writing.
+void open_metrics(const std::string& path, std::ofstream& file,
+                  std::optional<obs::JsonlSink>& sink) {
+  if (path.empty()) return;
   file.open(path);
-  if (!file) {
-    err << "error: cannot write " << path << "\n";
-    return false;
-  }
+  if (!file) throw std::runtime_error("cannot write " + path);
   sink.emplace(file);
-  return true;
 }
 
-}  // namespace
+/// Declares --help (every command's last option) and parses `tokens`; a
+/// parse error is a UsageError. Returns true when --help printed the usage
+/// and the command is done.
+bool parse_args(ArgParser& parser, const std::vector<std::string>& tokens,
+                std::ostream& out) {
+  parser.add_flag("help", "show usage");
+  if (!parser.parse(tokens)) throw UsageError(parser.error(), parser.usage());
+  if (parser.flag("help")) out << parser.usage();
+  return parser.flag("help");
+}
 
 int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
-            std::ostream& err) {
+            std::ostream& /*err*/) {
   ArgParser parser("pacds cds", "compute a connected dominating set");
   add_graph_options(parser);
   parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL | RULEK", "ID");
@@ -181,38 +176,26 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   parser.add_option("save-scenario",
                     "write the network (positions + energies) to this file",
                     "");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
-  const auto loaded = load_graph(parser, err);
-  if (!loaded) return 1;
-  const Graph& g = loaded->graph;
+  if (parse_args(parser, tokens, out)) return 0;
+  const LoadedGraph loaded = load_graph(parser);
+  const Graph& g = loaded.graph;
   const auto seed =
       static_cast<std::uint64_t>(parser.option_int("seed").value_or(2001));
-  const auto strategy = option_enum<Strategy>(parser, "strategy", err);
-  if (!strategy) return 2;
-  const std::vector<double> energy = energies_for(*loaded, seed);
+  const auto strategy = option_enum<Strategy>(parser, "strategy");
+  const std::vector<double> energy = energies_for(loaded, seed);
 
   const std::string save_path = parser.option("save-scenario");
   if (!save_path.empty()) {
-    if (loaded->positions.empty()) {
-      err << "error: --save-scenario needs a positional network "
-             "(--random or --scenario input)\n";
-      return 2;
+    if (loaded.positions.empty()) {
+      throw UsageError("--save-scenario needs a positional network "
+                       "(--random or --scenario input)");
     }
     Scenario scenario;
-    scenario.radius = loaded->radius;
-    scenario.positions = loaded->positions;
+    scenario.radius = loaded.radius;
+    scenario.positions = loaded.positions;
     scenario.energies = energy;
     if (!save_scenario_file(save_path, scenario)) {
-      err << "error: cannot write " << save_path << "\n";
-      return 1;
+      throw std::runtime_error("cannot write " + save_path);
     }
     out << "saved scenario to " << save_path << "\n";
   }
@@ -220,22 +203,19 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   CdsResult result;
   const std::string scheme = parser.option("scheme");
   if (scheme == "RULEK") {
-    const auto key = option_enum<KeyKind>(parser, "key", err);
-    if (!key) return 2;
+    const auto key = option_enum<KeyKind>(parser, "key");
     result = compute_cds_custom(
-        g, *key, RuleConfig{.use_rule_k = true, .strategy = *strategy},
-        energy);
+        g, key, RuleConfig{.use_rule_k = true, .strategy = strategy}, energy);
   } else {
-    const auto rs = option_enum<RuleSet>(parser, "scheme", err);
-    if (!rs) return 2;
     CdsOptions options;
-    options.strategy = *strategy;
-    result = compute_cds(g, *rs, energy, options);
+    options.strategy = strategy;
+    result = compute_cds(g, option_enum<RuleSet>(parser, "scheme"), energy,
+                         options);
   }
 
   if (parser.flag("dot")) {
     out << to_dot(g, &result.gateways,
-                  loaded->positions.empty() ? nullptr : &loaded->positions);
+                  loaded.positions.empty() ? nullptr : &loaded.positions);
     return 0;
   }
   const CdsCheck check = check_cds(g, result.gateways);
@@ -269,21 +249,12 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
 }
 
 int cmd_info(const std::vector<std::string>& tokens, std::ostream& out,
-             std::ostream& err) {
+             std::ostream& /*err*/) {
   ArgParser parser("pacds info", "structural statistics of a network");
   add_graph_options(parser);
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
-  const auto loaded = load_graph(parser, err);
-  if (!loaded) return 1;
-  const Graph& g = loaded->graph;
+  if (parse_args(parser, tokens, out)) return 0;
+  const LoadedGraph loaded = load_graph(parser);
+  const Graph& g = loaded.graph;
 
   const DegreeStats degrees = degree_stats(g);
   const DynBitset cuts = articulation_points(g);
@@ -307,37 +278,27 @@ int cmd_info(const std::vector<std::string>& tokens, std::ostream& out,
 }
 
 int cmd_route(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& err) {
+              std::ostream& /*err*/) {
   ArgParser parser("pacds route",
                    "route a packet through the gateway backbone");
   add_graph_options(parser);
   parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL", "ID");
   parser.add_option("src", "source host id", "0");
   parser.add_option("dst", "destination host id", "1");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
-  const auto loaded = load_graph(parser, err);
-  if (!loaded) return 1;
-  const Graph& g = loaded->graph;
-  const auto rs = option_enum<RuleSet>(parser, "scheme", err);
-  if (!rs) return 2;
+  if (parse_args(parser, tokens, out)) return 0;
+  const LoadedGraph loaded = load_graph(parser);
+  const Graph& g = loaded.graph;
+  const auto rs = option_enum<RuleSet>(parser, "scheme");
   const auto src = parser.option_int("src");
   const auto dst = parser.option_int("dst");
   if (!src || !dst || *src < 0 || *dst < 0 || *src >= g.num_nodes() ||
       *dst >= g.num_nodes()) {
-    err << "error: --src/--dst out of range [0, " << g.num_nodes() << ")\n";
-    return 2;
+    throw UsageError("--src/--dst out of range [0, " +
+                     std::to_string(g.num_nodes()) + ")");
   }
   const auto seed =
       static_cast<std::uint64_t>(parser.option_int("seed").value_or(2001));
-  const CdsResult cds = compute_cds(g, *rs, energies_for(*loaded, seed));
+  const CdsResult cds = compute_cds(g, rs, energies_for(loaded, seed));
   const DominatingSetRouter router(g, cds.gateways);
   const RouteResult route = router.route(static_cast<NodeId>(*src),
                                          static_cast<NodeId>(*dst));
@@ -423,15 +384,7 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
                     "fault-plan JSON file (see FAULTS.md): runs the "
                     "simulation in degraded mode past the first death",
                     "");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
+  if (parse_args(parser, tokens, out)) return 0;
   const auto n = parser.option_int("n");
   const auto trials = parser.option_int("trials");
   const auto model = parser.option_int("model");
@@ -443,69 +396,37 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   const auto fading_seed = parser.option_int("fading-seed");
   const auto stability_beta = parser.option_double("stability-beta");
   const auto stability_quantum = parser.option_double("stability-quantum");
-  if (!n || *n < 1 || !trials || *trials < 1 || !model || *model < 1 ||
-      *model > 3 || !seed || !quantum || !threads || *threads < 0 || !tiles ||
-      *tiles < 0 || !depth || *depth < 0.0 || !fading_seed ||
-      *fading_seed < 0 || !stability_beta || *stability_beta < 0.0 ||
-      *stability_beta > 1.0 || !stability_quantum || *stability_quantum < 0.0) {
-    err << "error: bad numeric option\n" << parser.usage();
-    return 2;
+  if (!n || !trials || *trials < 1 || !model || *model < 1 || *model > 3 ||
+      !seed || !quantum || !threads || !tiles || !depth || !fading_seed ||
+      !stability_beta || !stability_quantum) {
+    throw UsageError("bad numeric option", parser.usage());
   }
-  const auto strategy = option_enum<Strategy>(parser, "strategy", err);
-  if (!strategy) return 2;
-  const auto mobility = option_enum<MobilityKind>(parser, "mobility", err);
-  if (!mobility) return 2;
-  const auto radio = option_enum<RadioKind>(parser, "radio", err);
-  if (!radio) return 2;
-  const auto engine = option_enum<SimEngine>(parser, "engine", err);
-  if (!engine) return 2;
-  const auto backbone = option_enum<BackboneMode>(parser, "backbone", err);
-  if (!backbone) return 2;
   SimConfig config;
   config.n_hosts = static_cast<int>(*n);
   config.drain_model = drain_model_of(*model);
   config.energy_key_quantum = *quantum;
-  config.cds_options.strategy = *strategy;
+  config.cds_options.strategy = option_enum<Strategy>(parser, "strategy");
   config.threads = static_cast<int>(*threads);
   config.field_depth = *depth;
   config.stability_beta = *stability_beta;
   config.stability_quantum = *stability_quantum;
-  config.mobility_kind = *mobility;
-  config.radio = *radio;
+  config.mobility_kind = option_enum<MobilityKind>(parser, "mobility");
+  config.radio = option_enum<RadioKind>(parser, "radio");
   config.radio_params.fading_seed =
       static_cast<std::uint64_t>(*fading_seed);
-  config.engine = *engine;
-  config.backbone = *backbone;
+  config.engine = option_enum<SimEngine>(parser, "engine");
+  config.backbone = option_enum<BackboneMode>(parser, "backbone");
   config.tiles = static_cast<int>(*tiles);
-  if (config.backbone == BackboneMode::kCds22 &&
-      (config.engine == SimEngine::kIncremental ||
-       config.engine == SimEngine::kTiled)) {
-    err << "error: --backbone cds22 needs --engine auto or full\n";
-    return 2;
+  if (const std::string error = validate_sim_config(config); !error.empty()) {
+    throw UsageError(error);
   }
-  if (config.engine == SimEngine::kIncremental &&
-      !incremental_engine_eligible(config)) {
-    err << "error: --engine incremental needs --strategy simultaneous\n";
-    return 2;
-  }
-  if (config.engine == SimEngine::kTiled && !tiled_engine_eligible(config)) {
-    err << "error: --engine tiled needs --strategy simultaneous\n";
-    return 2;
-  }
-
-  const auto schemes = parse_scheme_list(parser, err);
-  if (!schemes) return 2;
+  const std::vector<RuleSet> schemes = parse_scheme_list(parser);
 
   std::optional<FaultPlan> fault_plan;
   const std::string faults_path = parser.option("faults");
   if (!faults_path.empty()) {
-    try {
-      fault_plan = load_fault_plan(faults_path);
-      validate_fault_plan(*fault_plan, config.n_hosts);
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 1;
-    }
+    fault_plan = load_fault_plan(faults_path);
+    validate_fault_plan(*fault_plan, config.n_hosts);
   }
 
   // --metrics - streams JSONL to stdout; the human tables then move to
@@ -516,8 +437,8 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   std::optional<obs::JsonlSink> metrics;
   if (metrics_to_stdout) {
     metrics.emplace(out);
-  } else if (!open_metrics(metrics_path, metrics_file, metrics, err)) {
-    return 1;
+  } else {
+    open_metrics(metrics_path, metrics_file, metrics);
   }
   std::ostream& report = metrics_to_stdout ? err : out;
 
@@ -533,7 +454,7 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
                       : std::vector<std::string>{"scheme", "lifetime", "±95%",
                                                  "avg |G'|"});
   table.set_align(0, Align::kLeft);
-  for (const RuleSet rs : *schemes) {
+  for (const RuleSet rs : schemes) {
     config.rule_set = rs;
     const LifetimeSummary s = run_lifetime_trials(
         config, static_cast<std::size_t>(*trials),
@@ -618,7 +539,7 @@ int run_set_size_study(const std::vector<int>& hosts, std::size_t trials,
 }
 
 int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& err) {
+              std::ostream& /*err*/) {
   ArgParser parser("pacds sweep",
                    "sweep host count x scheme (the figure harness)");
   parser.add_option("hosts",
@@ -650,28 +571,20 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
   parser.add_flag("sets",
                   "measure CDS set sizes on single snapshots instead of "
                   "lifetimes (the Hansen-Schmutz check; see EXPERIMENTS.md)");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
+  if (parse_args(parser, tokens, out)) return 0;
   const auto trials = parser.option_int("trials");
   const auto model = parser.option_int("model");
   const auto seed = parser.option_int("seed");
   const auto jobs = parser.option_int("jobs");
   if (!trials || *trials < 1 || !model || *model < 1 || *model > 3 || !seed ||
-      !jobs || *jobs < 0) {
-    err << "error: bad numeric option\n" << parser.usage();
-    return 2;
+      !jobs) {
+    throw UsageError("bad numeric option", parser.usage());
   }
-  const auto strategy = option_enum<Strategy>(parser, "strategy", err);
-  if (!strategy) return 2;
-  const auto schemes = parse_scheme_list(parser, err);
-  if (!schemes) return 2;
+  if (*jobs < 0 || *jobs > 1024) {
+    throw UsageError("--jobs must be an integer in [0, 1024]");
+  }
+  const auto strategy = option_enum<Strategy>(parser, "strategy");
+  const auto schemes = parse_scheme_list(parser);
 
   SweepConfig sweep;
   const std::string hosts = parser.option("hosts");
@@ -684,17 +597,13 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
     // n = 1e5 point the Hansen-Schmutz comparison needs.
     sweep.host_counts = {1000, 3162, 10000, 31623, 100000};
   } else if (hosts.empty()) {
-    err << "error: --hosts needs at least one host count\n";
-    return 2;
+    throw UsageError("--hosts needs at least one host count");
   } else {
     // Checked parse: std::stoi accepted partial tokens ("4x" -> 4) and threw
     // on overflow; parse_int_list demands full-token integers in range.
     std::string bad;
     const auto counts = parse_int_list(hosts, 1, 1000000, &bad);
-    if (!counts) {
-      err << "error: bad --hosts entry '" << bad << "'\n";
-      return 2;
-    }
+    if (!counts) throw UsageError("bad --hosts entry '" + bad + "'");
     sweep.host_counts.reserve(counts->size());
     for (const std::int64_t n : *counts) {
       sweep.host_counts.push_back(static_cast<int>(n));
@@ -705,17 +614,15 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
                               static_cast<std::size_t>(*trials),
                               static_cast<std::uint64_t>(*seed), out);
   }
-  sweep.schemes = *schemes;
+  sweep.schemes = schemes;
   sweep.trials = static_cast<std::size_t>(*trials);
   sweep.base_seed = static_cast<std::uint64_t>(*seed);
   sweep.base.drain_model = drain_model_of(*model);
-  sweep.base.cds_options.strategy = *strategy;
+  sweep.base.cds_options.strategy = strategy;
 
   std::ofstream metrics_file;
   std::optional<obs::JsonlSink> metrics;
-  if (!open_metrics(parser.option("metrics"), metrics_file, metrics, err)) {
-    return 1;
-  }
+  open_metrics(parser.option("metrics"), metrics_file, metrics);
   std::optional<ThreadPool> pool;
   if (*jobs != 1) {
     pool.emplace(*jobs == 0 ? 0 : static_cast<std::size_t>(*jobs));
@@ -737,8 +644,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
   if (!csv_path.empty()) {
     if (!write_csv_file(csv_path, sweep_csv_header(result),
                         sweep_csv_rows(result, SweepMetric::kLifetime))) {
-      err << "error: cannot write " << csv_path << "\n";
-      return 1;
+      throw std::runtime_error("cannot write " + csv_path);
     }
     out << "\nwrote " << csv_path << "\n";
   }
@@ -791,33 +697,18 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
                     "+ one gap_point per instance); '-' streams to stdout "
                     "and moves the ratio table to stderr",
                     "");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
+  if (parse_args(parser, tokens, out)) return 0;
   const auto trials = parser.option_int("trials");
   const auto seed = parser.option_int("seed");
   const auto budget = parser.option_int("budget");
   if (!trials || *trials < 1 || !seed || !budget || *budget < 1) {
-    err << "error: bad numeric option\n" << parser.usage();
-    return 2;
+    throw UsageError("bad numeric option", parser.usage());
   }
   std::string bad;
   const auto host_list = parse_int_list(parser.option("hosts"), 2, 2000, &bad);
-  if (!host_list) {
-    err << "error: bad --hosts entry '" << bad << "'\n";
-    return 2;
-  }
+  if (!host_list) throw UsageError("bad --hosts entry '" + bad + "'");
   const auto radius_list = parse_double_list(parser.option("radius"), &bad);
-  if (!radius_list) {
-    err << "error: bad --radius entry '" << bad << "'\n";
-    return 2;
-  }
+  if (!radius_list) throw UsageError("bad --radius entry '" + bad + "'");
 
   const std::string metrics_path = parser.option("metrics");
   const bool metrics_to_stdout = metrics_path == "-";
@@ -825,8 +716,8 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
   std::optional<obs::JsonlSink> metrics;
   if (metrics_to_stdout) {
     metrics.emplace(out);
-  } else if (!open_metrics(metrics_path, metrics_file, metrics, err)) {
-    return 1;
+  } else {
+    open_metrics(metrics_path, metrics_file, metrics);
   }
   std::ostream& report = metrics_to_stdout ? err : out;
 
@@ -955,40 +846,20 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
 }
 
 int cmd_faults(const std::vector<std::string>& tokens, std::ostream& out,
-               std::ostream& err) {
+               std::ostream& /*err*/) {
   ArgParser parser("pacds faults",
                    "inspect a fault plan's resolved schedule");
   parser.add_option("plan", "fault-plan JSON file (see FAULTS.md)", "");
   parser.add_option("n", "validate node ids against this host count "
                          "(0 = skip validation)", "0");
   parser.add_flag("json", "echo the normalized plan as JSON instead");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
+  if (parse_args(parser, tokens, out)) return 0;
   const std::string plan_path = parser.option("plan");
-  if (plan_path.empty()) {
-    err << "error: --plan is required\n" << parser.usage();
-    return 2;
-  }
+  if (plan_path.empty()) throw UsageError("--plan is required", parser.usage());
   const auto n = parser.option_int("n");
-  if (!n || *n < 0) {
-    err << "error: bad --n value\n";
-    return 2;
-  }
-  FaultPlan plan;
-  try {
-    plan = load_fault_plan(plan_path);
-    if (*n > 0) validate_fault_plan(plan, static_cast<int>(*n));
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << "\n";
-    return 1;
-  }
+  if (!n || *n < 0) throw UsageError("bad --n value");
+  const FaultPlan plan = load_fault_plan(plan_path);
+  if (*n > 0) validate_fault_plan(plan, static_cast<int>(*n));
   if (parser.flag("json")) {
     JsonWriter json(out, 2);
     write_fault_plan(json, plan);
@@ -1041,7 +912,7 @@ int cmd_faults(const std::vector<std::string>& tokens, std::ostream& out,
 }
 
 int cmd_fuzz(const std::vector<std::string>& tokens, std::ostream& out,
-             std::ostream& err) {
+             std::ostream& /*err*/) {
   ArgParser parser("pacds fuzz",
                    "differential fuzzing: random scenarios vs the "
                    "invariant-oracle suite (DESIGN.md §9)");
@@ -1052,39 +923,24 @@ int cmd_fuzz(const std::vector<std::string>& tokens, std::ostream& out,
   parser.add_option("corpus",
                     "reproducer directory: replayed first, new findings "
                     "written here (empty = none)", "");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
+  if (parse_args(parser, tokens, out)) return 0;
   const auto seed = parser.option_int("seed");
   const auto iters = parser.option_int("iters");
   const auto budget = parser.option_double("time-budget");
   if (!seed || *seed < 0 || !iters || *iters < 0 || !budget || *budget < 0) {
-    err << "error: --seed/--iters/--time-budget must be non-negative "
-           "numbers\n";
-    return 2;
+    throw UsageError("--seed/--iters/--time-budget must be non-negative "
+                     "numbers");
   }
   fuzz::FuzzOptions options;
   options.seed = static_cast<std::uint64_t>(*seed);
   options.iterations = static_cast<std::uint64_t>(*iters);
   options.time_budget_seconds = *budget;
   options.corpus_dir = parser.option("corpus");
-  try {
-    const fuzz::FuzzReport report = fuzz::run_fuzz(options, out);
-    return report.ok() ? 0 : 1;
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << "\n";
-    return 1;
-  }
+  return fuzz::run_fuzz(options, out).ok() ? 0 : 1;
 }
 
 int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& err) {
+              std::ostream& /*err*/) {
   ArgParser parser("pacds serve",
                    "resident multi-tenant simulation server over JSONL "
                    "requests (DESIGN.md §12)");
@@ -1106,15 +962,7 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out,
                     "(1 = serial, 0 = all cores); the output stream is "
                     "identical for every value",
                     "1");
-  parser.add_flag("help", "show usage");
-  if (!parser.parse(tokens)) {
-    err << "error: " << parser.error() << "\n" << parser.usage();
-    return 2;
-  }
-  if (parser.flag("help")) {
-    out << parser.usage();
-    return 0;
-  }
+  if (parse_args(parser, tokens, out)) return 0;
   serve::ServeOptions options;
   options.queue_limit = env_size_t("PACDS_SERVE_QUEUE", options.queue_limit);
   options.max_tenants =
@@ -1122,23 +970,20 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out,
   if (!parser.option("queue").empty()) {
     const auto queue = parser.option_int("queue");
     if (!queue || *queue < 1) {
-      err << "error: --queue must be a positive integer\n";
-      return 2;
+      throw UsageError("--queue must be a positive integer");
     }
     options.queue_limit = static_cast<std::size_t>(*queue);
   }
   if (!parser.option("max-tenants").empty()) {
     const auto cap = parser.option_int("max-tenants");
     if (!cap || *cap < 1) {
-      err << "error: --max-tenants must be a positive integer\n";
-      return 2;
+      throw UsageError("--max-tenants must be a positive integer");
     }
     options.max_tenants = static_cast<std::size_t>(*cap);
   }
   const auto threads = parser.option_int("threads");
   if (!threads || *threads < 0 || *threads > 1024) {
-    err << "error: --threads must be an integer in [0, 1024]\n";
-    return 2;
+    throw UsageError("--threads must be an integer in [0, 1024]");
   }
   options.threads = static_cast<int>(*threads);
 
@@ -1148,12 +993,13 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out,
 #ifdef __unix__
     return server.run_unix_socket(socket_path);
 #else
-    err << "error: --socket needs a Unix platform; use stdin mode\n";
-    return 2;
+    throw UsageError("--socket needs a Unix platform; use stdin mode");
 #endif
   }
   return server.run(std::cin);
 }
+
+}  // namespace
 
 std::string main_usage() {
   return "pacds — power-aware connected dominating sets "
@@ -1180,15 +1026,24 @@ int run(const std::vector<std::string>& tokens, std::ostream& out,
   }
   const std::string command = tokens[0];
   const std::vector<std::string> rest(tokens.begin() + 1, tokens.end());
-  if (command == "cds") return cmd_cds(rest, out, err);
-  if (command == "info") return cmd_info(rest, out, err);
-  if (command == "route") return cmd_route(rest, out, err);
-  if (command == "sim") return cmd_sim(rest, out, err);
-  if (command == "sweep") return cmd_sweep(rest, out, err);
-  if (command == "gap") return cmd_gap(rest, out, err);
-  if (command == "faults") return cmd_faults(rest, out, err);
-  if (command == "fuzz") return cmd_fuzz(rest, out, err);
-  if (command == "serve") return cmd_serve(rest, out, err);
+  // The one error exit: a command reports every failure by throwing.
+  try {
+    if (command == "cds") return cmd_cds(rest, out, err);
+    if (command == "info") return cmd_info(rest, out, err);
+    if (command == "route") return cmd_route(rest, out, err);
+    if (command == "sim") return cmd_sim(rest, out, err);
+    if (command == "sweep") return cmd_sweep(rest, out, err);
+    if (command == "gap") return cmd_gap(rest, out, err);
+    if (command == "faults") return cmd_faults(rest, out, err);
+    if (command == "fuzz") return cmd_fuzz(rest, out, err);
+    if (command == "serve") return cmd_serve(rest, out, err);
+  } catch (const std::exception& e) {
+    err << "error: " << e.what() << "\n";
+    const auto* usage = dynamic_cast<const UsageError*>(&e);
+    if (usage == nullptr) return 1;
+    err << usage->usage;
+    return 2;
+  }
   err << "error: unknown command '" << command << "'\n\n" << main_usage();
   return 2;
 }

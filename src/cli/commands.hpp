@@ -1,6 +1,6 @@
 #pragma once
-// The pacds command-line tool's subcommands, exposed as functions over an
-// explicit output stream so tests can drive them without a process.
+// The pacds command-line tool, exposed as one function over explicit output
+// streams so tests can drive it without a process. Its subcommands:
 //
 //   pacds cds    — compute a gateway set for a graph (file or random)
 //   pacds info   — structural stats of a graph (components, cuts, ...)
@@ -12,7 +12,9 @@
 //   pacds fuzz   — differential fuzzing against the invariant oracles
 //   pacds serve  — resident multi-tenant server over JSONL requests
 //
-// Each command returns a process exit code (0 = success).
+// run returns the process exit code: 0 on success, 2 for a bad flag or
+// config, 1 for a failure while running. Every error leaves through run:
+// it prints "error: <what>" for whatever a command throws.
 
 #include <iosfwd>
 #include <string>
@@ -23,25 +25,6 @@ namespace pacds::cli {
 /// Dispatches to a subcommand; tokens[0] is the subcommand name.
 int run(const std::vector<std::string>& tokens, std::ostream& out,
         std::ostream& err);
-
-int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
-            std::ostream& err);
-int cmd_info(const std::vector<std::string>& tokens, std::ostream& out,
-             std::ostream& err);
-int cmd_route(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& err);
-int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
-            std::ostream& err);
-int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& err);
-int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
-            std::ostream& err);
-int cmd_faults(const std::vector<std::string>& tokens, std::ostream& out,
-               std::ostream& err);
-int cmd_fuzz(const std::vector<std::string>& tokens, std::ostream& out,
-             std::ostream& err);
-int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& err);
 
 /// Top-level usage text.
 [[nodiscard]] std::string main_usage();

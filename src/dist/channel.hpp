@@ -1,8 +1,12 @@
 #pragma once
 // Channel-level fault knobs for the distributed protocol. Header-only plain
-// data on purpose: sim/faults.hpp embeds these in a FaultPlan without
-// linking pacds_dist, and dist/protocol.cpp consumes them to perturb frame
-// delivery. Semantics are specified in FAULTS.md ("channel" section).
+// data and the one rule they must meet, on purpose: sim/faults.hpp embeds
+// these in a FaultPlan without linking pacds_dist, and dist/protocol.cpp
+// consumes them to perturb frame delivery. Semantics are specified in
+// FAULTS.md ("channel" section).
+
+#include <string>
+#include <utility>
 
 namespace pacds::dist {
 
@@ -29,5 +33,26 @@ struct RetryPolicy {
   int backoff_base = 1;   ///< rounds waited after the first failed attempt
   int backoff_cap = 8;    ///< ceiling of the exponential backoff
 };
+
+/// The first rule `channel` and `retry` break, named by the fault plan's
+/// "channel." keys, or "". validate_fault_plan and run_faulty_protocol
+/// both apply it.
+[[nodiscard]] inline std::string channel_error(
+    const ChannelFaultConfig& channel, const RetryPolicy& retry) {
+  const auto rate = [](double p) { return p >= 0.0 && p < 1.0; };
+  const std::pair<bool, const char*> rules[] = {
+      {rate(channel.drop), "channel.drop must be in [0, 1)"},
+      {rate(channel.duplicate), "channel.duplicate must be in [0, 1)"},
+      {rate(channel.delay), "channel.delay must be in [0, 1)"},
+      {retry.max_attempts >= 1, "channel.max_attempts must be >= 1"},
+      {retry.backoff_base >= 1, "channel.backoff_base must be >= 1"},
+      {retry.backoff_cap >= retry.backoff_base,
+       "channel.backoff_cap must be >= channel.backoff_base"},
+  };
+  for (const auto& [holds, broken] : rules) {
+    if (!holds) return broken;
+  }
+  return "";
+}
 
 }  // namespace pacds::dist

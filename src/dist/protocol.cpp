@@ -1,6 +1,7 @@
 #include "dist/protocol.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/verify.hpp"
 #include "net/rng.hpp"
@@ -319,15 +320,9 @@ FaultyProtocolResult run_faulty_protocol(const Graph& g, RuleSet rs,
                                          std::uint64_t seed,
                                          const std::vector<double>& energy,
                                          const RadioModel* radio) {
-  if (channel.drop < 0.0 || channel.drop >= 1.0 || channel.duplicate < 0.0 ||
-      channel.duplicate >= 1.0 || channel.delay < 0.0 ||
-      channel.delay >= 1.0) {
-    throw std::invalid_argument(
-        "run_faulty_protocol: channel rates must lie in [0, 1)");
-  }
-  if (retry.max_attempts < 1 || retry.backoff_base < 1 ||
-      retry.backoff_cap < retry.backoff_base) {
-    throw std::invalid_argument("run_faulty_protocol: bad retry policy");
+  if (const std::string error = channel_error(channel, retry);
+      !error.empty()) {
+    throw std::invalid_argument("run_faulty_protocol: " + error);
   }
   const auto n = static_cast<std::size_t>(g.num_nodes());
   if (!energy.empty() && energy.size() != n) {

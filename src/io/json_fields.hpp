@@ -16,8 +16,9 @@
 // enums with a name table, optionals (null = empty), vectors (arrays),
 // structs with a field list (objects), or documents of their own: types
 // with `read_document` / `write_document` overloads (SimConfig, FaultPlan),
-// which keep their own checks and error prefix wherever they are nested.
-// Absent keys keep the caller's value unless required; unknown keys fail.
+// which keep their own checks and error prefix wherever they are nested and
+// are told the key they sit under. Absent keys keep the caller's value
+// unless required; unknown keys fail.
 
 #include <cmath>
 #include <concepts>
@@ -28,6 +29,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/enum_names.hpp"
@@ -66,6 +68,14 @@ struct Range {
 /// A required key with no integer bounds.
 inline constexpr Range kRequired{0.0, 0.0, true};
 
+/// The message for an integer key `what` outside `range`.
+inline std::string integer_range_message(const std::string& what,
+                                         Range range) {
+  return what + " must be an integer in [" +
+         std::to_string(static_cast<long long>(range.lo)) + ", " +
+         std::to_string(static_cast<long long>(range.hi)) + "]";
+}
+
 /// `T` is `U` or `const U`: one field list serves the reader, which fills a
 /// mutable struct, and the writer, which reads a const one.
 template <typename T, typename U>
@@ -80,6 +90,14 @@ template <typename T>
 inline constexpr bool kIsVector = false;
 template <typename T>
 inline constexpr bool kIsVector<std::vector<T>> = true;
+struct IgnoreField {
+  template <typename M>
+  void operator()(const char*, const M&, Range = {}) const {}
+};
+template <typename T>
+concept HasFields = requires(const T& object) {
+  fields(object, IgnoreField{});
+};
 }  // namespace detail
 
 template <typename T>
@@ -155,9 +173,7 @@ void read_value(const JsonReader& in, const JsonValue& value,
     if (!std::isfinite(raw)) in.fail(what + " must be finite");
     if constexpr (std::is_integral_v<T>) {
       if (raw != std::floor(raw) || raw < range.lo || raw > range.hi) {
-        in.fail(what + " must be an integer in [" +
-                std::to_string(static_cast<long long>(range.lo)) + ", " +
-                std::to_string(static_cast<long long>(range.hi)) + "]");
+        in.fail(integer_range_message(what, range));
       }
     }
     field = static_cast<T>(raw);
@@ -175,8 +191,8 @@ void read_value(const JsonReader& in, const JsonValue& value,
       read_value(in, items[i], what + "[" + std::to_string(i) + "]",
                  field.emplace_back());
     }
-  } else if constexpr (requires { read_document(in, value, field); }) {
-    read_document(in, value, field);
+  } else if constexpr (requires { read_document(in, value, what, field); }) {
+    read_document(in, value, what, field);
   } else {
     read_fields(in, value, what, field);
   }
@@ -205,6 +221,28 @@ void read_fields(const JsonReader& in, const JsonValue& value,
       in.fail((what.empty() ? "" : what + " ") + "needs \"" + name + "\"");
     }
   });
+}
+
+/// The first integer member of `object`, or of a struct nested in it,
+/// outside the range its field list declares, named as the reader names it
+/// under `what` ("config.threads must be an integer in [0, 256]"), or "".
+/// A struct built in code is held to the bounds a parsed one meets.
+template <typename T>
+std::string field_range_error(const T& object, const std::string& what) {
+  std::string error;
+  fields(object, [&](const char* key, const auto& member, Range range = {}) {
+    using M = std::remove_cvref_t<decltype(member)>;
+    if (!error.empty()) return;
+    if constexpr (std::is_integral_v<M> && !std::is_same_v<M, bool>) {
+      if (std::cmp_less(member, static_cast<std::int64_t>(range.lo)) ||
+          std::cmp_greater(member, static_cast<std::int64_t>(range.hi))) {
+        error = integer_range_message(what + "." + key, range);
+      }
+    } else if constexpr (detail::HasFields<M>) {
+      error = field_range_error(member, what + "." + key);
+    }
+  });
+  return error;
 }
 
 }  // namespace pacds

@@ -12,10 +12,6 @@ namespace pacds {
 
 namespace {
 
-/// Cell indices stay inside (-2^62, 2^62): far enough from the int64
-/// limits that a neighbour offset of ±1 or a box extent cannot overflow.
-constexpr double kCellLimit = 0x1p62;
-
 /// floor(coord / cell), or nullopt when the coordinate is not finite or its
 /// cell index falls outside the limit. Truncates and corrects instead of
 /// calling std::floor: same value, no libm call per coordinate.

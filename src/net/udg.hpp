@@ -37,6 +37,11 @@
 
 namespace pacds {
 
+/// Cell indices stay inside (-kCellLimit, kCellLimit): far enough from the
+/// int64 limits that a neighbour offset of ±1 or a box extent cannot
+/// overflow.
+inline constexpr double kCellLimit = 0x1p62;
+
 /// Which edge-enumeration algorithm to use.
 enum class UdgMethod : std::uint8_t { kNaive, kGrid };
 

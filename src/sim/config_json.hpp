@@ -4,8 +4,11 @@
 // and the serve request schema ("config" in a create request). Unknown
 // keys, wrong types, out-of-range values and inconsistent combinations all
 // throw — both consumers promise that a config that parses is one the
-// simulator will accept, and neither tolerates silent key drops.
+// simulator will accept, and neither tolerates silent key drops. The
+// promise holds by construction: the parser's checks after its field walk
+// are validate_sim_config, the rules every run checks.
 
+#include <string>
 #include <string_view>
 
 #include "sim/lifetime.hpp"
@@ -15,6 +18,17 @@ namespace pacds {
 class JsonReader;
 class JsonValue;
 class JsonWriter;
+
+/// The one statement of what a SimConfig must satisfy to run (DESIGN.md
+/// §14): returns the first rule `config` breaks as a message naming its
+/// wire key ("config.radius must be > 0"), or "" when it may run. The
+/// parser, run_lifetime_trials, LifetimeRun, make_lifetime_engine and
+/// `pacds sim` apply it; class constructors keep their own invariants.
+[[nodiscard]] std::string validate_sim_config(const SimConfig& config);
+
+/// Returns `config`, or throws std::invalid_argument with
+/// validate_sim_config's message when it breaks a rule.
+const SimConfig& checked_sim_config(const SimConfig& config);
 
 /// Applies the members of a parsed JSON config object onto `config`
 /// (absent keys keep their current values, so defaults come from the
@@ -35,7 +49,7 @@ void write_sim_config_json(JsonWriter& json, const SimConfig& config);
 /// parse_sim_config_json with that document's error prefix and written by
 /// write_sim_config_json.
 void read_document(const JsonReader& in, const JsonValue& value,
-                   SimConfig& config);
+                   const std::string& what, SimConfig& config);
 void write_document(JsonWriter& json, const SimConfig& config);
 
 }  // namespace pacds

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <thread>
 
 #include "baselines/cds22.hpp"
 #include "core/verify.hpp"
 #include "net/geometric.hpp"
+#include "sim/config_json.hpp"
 #include "sim/tiled_engine.hpp"
 
 namespace pacds {
@@ -65,11 +65,6 @@ FullRebuildEngine::FullRebuildEngine(const SimConfig& config)
       rules_(rules_of(config)) {
   make_interval_pool(config_.threads, pool_);
   if (config_.radio != RadioKind::kUnitDisk) {
-    if (config_.link_model != LinkModel::kUnitDisk) {
-      throw std::invalid_argument(
-          "FullRebuildEngine: a non-unit-disk radio composes only with "
-          "unit-disk links");
-    }
     radio_.emplace(config_.radio, config_.radio_params, config_.radius);
   }
   if (uses_stability(kind_)) {
@@ -139,11 +134,6 @@ std::size_t FullRebuildEngine::last_touched() const {
 IncrementalEngine::IncrementalEngine(const SimConfig& config)
     : config_(config),
       moved_(static_cast<std::size_t>(config.n_hosts)) {
-  if (!incremental_engine_eligible(config_)) {
-    throw std::invalid_argument(
-        "IncrementalEngine: configuration not eligible (needs simultaneous "
-        "strategy, no custom key, unit-disk links)");
-  }
   make_interval_pool(config_.threads, pool_);
   if (config_.radio != RadioKind::kUnitDisk) {
     radio_.emplace(config_.radio, config_.radio_params, config_.radius);
@@ -277,11 +267,6 @@ void IncrementalEngine::update(const std::vector<Vec2>& positions,
 
 Cds22Engine::Cds22Engine(const SimConfig& config) : config_(config) {
   if (config_.radio != RadioKind::kUnitDisk) {
-    if (config_.link_model != LinkModel::kUnitDisk) {
-      throw std::invalid_argument(
-          "Cds22Engine: a non-unit-disk radio composes only with unit-disk "
-          "links");
-    }
     radio_.emplace(config_.radio, config_.radio_params, config_.radius);
   }
 }
@@ -331,22 +316,17 @@ bool incremental_engine_eligible(const SimConfig& config) {
 }
 
 std::unique_ptr<LifetimeEngine> make_lifetime_engine(const SimConfig& config) {
+  checked_sim_config(config);
   if (config.backbone == BackboneMode::kCds22) {
-    if (config.engine == SimEngine::kIncremental ||
-        config.engine == SimEngine::kTiled) {
-      throw std::invalid_argument(
-          "make_lifetime_engine: the cds22 backbone has no incremental or "
-          "tiled form (use engine auto or full)");
-    }
     return std::make_unique<Cds22Engine>(config);
   }
   switch (config.engine) {
     case SimEngine::kFullRebuild:
       return std::make_unique<FullRebuildEngine>(config);
     case SimEngine::kIncremental:
-      return std::make_unique<IncrementalEngine>(config);  // throws if unfit
+      return std::make_unique<IncrementalEngine>(config);
     case SimEngine::kTiled:
-      return std::make_unique<TiledEngine>(config);  // throws if unfit
+      return std::make_unique<TiledEngine>(config);
     case SimEngine::kAuto:
       break;
   }

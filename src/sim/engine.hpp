@@ -181,8 +181,8 @@ class FullRebuildEngine final : public LifetimeEngine {
 };
 
 /// Persistent-state fast path: spatial-grid edge deltas + IncrementalCds.
-/// Construction checks eligibility (see incremental_engine_eligible) and
-/// throws std::invalid_argument when the configuration is not covered.
+/// The config must be eligible (see incremental_engine_eligible);
+/// make_lifetime_engine checks it through validate_sim_config.
 class IncrementalEngine final : public LifetimeEngine {
  public:
   explicit IncrementalEngine(const SimConfig& config);
@@ -293,8 +293,9 @@ class Cds22Engine final : public LifetimeEngine {
 [[nodiscard]] bool incremental_engine_eligible(const SimConfig& config);
 
 /// Builds the engine selected by config.engine; kAuto picks the incremental
-/// engine exactly when it is eligible. Throws std::invalid_argument when
-/// kIncremental is forced on an ineligible configuration.
+/// engine exactly when it is eligible. Throws std::invalid_argument with
+/// validate_sim_config's message when the config breaks a rule, such as a
+/// forced engine it is not eligible for.
 [[nodiscard]] std::unique_ptr<LifetimeEngine> make_lifetime_engine(
     const SimConfig& config);
 

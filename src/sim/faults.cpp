@@ -67,18 +67,7 @@ std::string range_error(const FaultPlan& plan) {
       return entry("blackouts", i) + ".until must be 0 or > at";
     }
   }
-  const auto bad_rate = [](double rate) {
-    return !(rate >= 0.0) || rate >= 1.0;
-  };
-  if (bad_rate(plan.channel.drop)) return "channel.drop must be in [0, 1)";
-  if (bad_rate(plan.channel.duplicate)) {
-    return "channel.duplicate must be in [0, 1)";
-  }
-  if (bad_rate(plan.channel.delay)) return "channel.delay must be in [0, 1)";
-  if (plan.retry.backoff_cap < plan.retry.backoff_base) {
-    return "channel.backoff_cap must be >= channel.backoff_base";
-  }
-  return "";
+  return dist::channel_error(plan.channel, plan.retry);
 }
 
 }  // namespace
@@ -120,12 +109,8 @@ void fields(P& p, Visit&& visit) {
 }
 
 FaultPlan parse_fault_plan(const JsonValue& doc) {
-  if (!doc.is_object()) kIn.fail("document must be a JSON object");
   FaultPlan plan;
-  read_fields(kIn, doc, "", plan);
-  if (const std::string error = range_error(plan); !error.empty()) {
-    kIn.fail(error);
-  }
+  read_document(kIn, doc, "document", plan);
   return plan;
 }
 
@@ -147,8 +132,12 @@ void write_fault_plan(JsonWriter& json, const FaultPlan& plan) {
 }
 
 void read_document(const JsonReader& /*in*/, const JsonValue& value,
-                   FaultPlan& plan) {
-  plan = parse_fault_plan(value);
+                   const std::string& what, FaultPlan& plan) {
+  if (!value.is_object()) kIn.fail(what + " must be a JSON object");
+  read_fields(kIn, value, "", plan);
+  if (const std::string error = range_error(plan); !error.empty()) {
+    kIn.fail(error);
+  }
 }
 
 void write_document(JsonWriter& json, const FaultPlan& plan) {

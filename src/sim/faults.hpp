@@ -106,11 +106,11 @@ struct FaultPlan {
 void write_fault_plan(JsonWriter& json, const FaultPlan& plan);
 
 /// Field-list hooks (io/json_fields.hpp): a plan inside another document,
-/// the "faults" of a corpus file or a serve request, is read by
-/// parse_fault_plan, with its own checks and "fault plan: " prefix, and
-/// written by write_fault_plan.
+/// the "faults" of a corpus file or a serve request, is read with the
+/// parser's checks and its "fault plan: " prefix, a non-object named by the
+/// key `what` it sits under, and written by write_fault_plan.
 void read_document(const JsonReader& in, const JsonValue& value,
-                   FaultPlan& plan);
+                   const std::string& what, FaultPlan& plan);
 void write_document(JsonWriter& json, const FaultPlan& plan);
 
 /// Checks a plan built in code against the parser's range rules, and its

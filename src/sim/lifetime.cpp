@@ -3,41 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <stdexcept>
 
 #include "energy/battery.hpp"
 #include "net/mobility.hpp"
+#include "sim/config_json.hpp"
 #include "sim/engine.hpp"
 
 namespace pacds {
-
-namespace {
-
-/// LifetimeRun's config checks; they throw before placement runs.
-const SimConfig& validated(const SimConfig& config) {
-  if (config.n_hosts < 1) {
-    throw std::invalid_argument("run_lifetime_trial: need at least one host");
-  }
-  if (config.radio != RadioKind::kUnitDisk &&
-      config.link_model != LinkModel::kUnitDisk) {
-    throw std::invalid_argument(
-        "run_lifetime_trial: a non-unit-disk radio prunes unit-disk "
-        "candidates and cannot compose with the gabriel/rng link models");
-  }
-  if (!config.custom_key &&
-      (config.use_rule_k || config.custom_rule2_form != Rule2Form::kRefined)) {
-    throw std::invalid_argument(
-        "run_lifetime_trial: use_rule_k and custom_rule2_form apply only "
-        "under a custom_key");
-  }
-  if (!(config.stability_beta >= 0.0) || !(config.stability_beta <= 1.0)) {
-    throw std::invalid_argument(
-        "run_lifetime_trial: stability_beta must be in [0, 1]");
-  }
-  return config;
-}
-
-}  // namespace
 
 Hosts::Hosts(const SimConfig& config, Xoshiro256& rng)
     : field(config.field_width, config.field_height, config.field_depth,
@@ -65,12 +37,12 @@ Hosts::Hosts(const SimConfig& config, Xoshiro256& rng)
 
 LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
                          IntervalObserver* observer, const FaultPlan* faults)
-    : config_(config),
+    : config_(checked_sim_config(config)),
       rng_(seed),
       observer_(observer),
-      batteries_(static_cast<std::size_t>(std::max(config.n_hosts, 1)),
+      batteries_(static_cast<std::size_t>(config.n_hosts),
                  config.initial_energy),
-      hosts_(validated(config_), rng_) {
+      hosts_(config_, rng_) {
   result_.placement_attempts = hosts_.placement_attempts;
   result_.initial_connected = hosts_.connected;
 

@@ -40,14 +40,13 @@ enum class SimEngine : std::uint8_t {
   /// Rebuild the link graph and the CDS from scratch every interval.
   kFullRebuild,
   /// Persistent graph + localized CDS updates (spatial-grid edge deltas fed
-  /// to IncrementalCds). Throws at trial start if the configuration is not
-  /// eligible.
+  /// to IncrementalCds). validate_sim_config refuses it where not eligible.
   kIncremental,
   /// Spatial tiling: the field is cut into tiles (side >= 2 * radius), each
   /// interval recomputes only the tiles near a change, and per-tile dense
   /// adjacency rows keep coverage tests word-parallel without the global
   /// O(n²) footprint. Bit-identical to the other engines where eligible
-  /// (see tiled_engine_eligible); throws at trial start otherwise.
+  /// (see tiled_engine_eligible); validate_sim_config refuses it elsewhere.
   kTiled,
 };
 
@@ -79,6 +78,7 @@ constexpr auto enum_names(BackboneMode) {
 }
 
 /// All knobs of one lifetime simulation; defaults are the paper's settings.
+/// validate_sim_config (sim/config_json.hpp) states which configs may run.
 struct SimConfig {
   int n_hosts = 50;
   double field_width = 100.0;
@@ -128,7 +128,7 @@ struct SimConfig {
   Rule2Form custom_rule2_form = Rule2Form::kRefined;
   /// With custom_key set, use the generalized Rule k (Dai-Wu) instead of
   /// the pairwise rules (custom_rule2_form is then ignored). Needs
-  /// custom_key: the config parser and LifetimeRun reject it without one.
+  /// custom_key: validate_sim_config rejects it without one.
   bool use_rule_k = false;
 
   /// The paper treats energy as "multiple discrete levels": EL keys compare
@@ -140,7 +140,7 @@ struct SimConfig {
 
   /// RuleSet::kSEL knobs: the EWMA memory of the per-host neighborhood
   /// churn estimate (0 = latest interval only, 1 = frozen) and the bucket
-  /// width applied to the EWMA before it enters the key (<= 0 = raw values;
+  /// width applied to the EWMA before it enters the key (0 = raw values;
   /// see core/stability.hpp). Ignored by the other schemes.
   double stability_beta = 0.75;
   double stability_quantum = 0.5;
@@ -153,7 +153,7 @@ struct SimConfig {
   /// Backbone family (see BackboneMode). kCds22 overrides the scheme with
   /// the greedy (2,2)-connected backbone; engine must then be kAuto or
   /// kFullRebuild (the incremental/tiled fast paths maintain rule-based
-  /// semantics only — make_lifetime_engine throws if they are forced).
+  /// semantics only — validate_sim_config refuses them with cds22).
   BackboneMode backbone = BackboneMode::kScheme;
 
   /// Requested tile count for SimEngine::kTiled (0 = auto: the finest grid
@@ -228,8 +228,9 @@ struct TrialResult {
 /// stream.
 class LifetimeRun {
  public:
-  /// Validates the config/plan (throws std::invalid_argument or the fault
-  /// plan's errors) and performs placement + engine construction. The
+  /// Validates the config (validate_sim_config, as std::invalid_argument)
+  /// and the plan (the fault plan's errors), then performs placement +
+  /// engine construction. The
   /// config and plan are copied; the observer is borrowed and must outlive
   /// the run or be replaced via set_observer.
   explicit LifetimeRun(const SimConfig& config, std::uint64_t seed,

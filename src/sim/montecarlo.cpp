@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/rng.hpp"
+#include "sim/config_json.hpp"
 #include "sim/metrics_io.hpp"
 
 namespace pacds {
@@ -21,8 +22,10 @@ LifetimeSummary run_lifetime_trials(const SimConfig& config,
                                     std::uint64_t base_seed, ThreadPool* pool,
                                     obs::JsonlSink* metrics,
                                     const FaultPlan* faults) {
+  // Checked here, on the calling thread: a rule broken inside a pooled
+  // trial would throw on a worker, where no caller can catch it.
   const SimConfig trial_config =
-      montecarlo_trial_config(config, pool != nullptr);
+      montecarlo_trial_config(checked_sim_config(config), pool != nullptr);
   if (metrics != nullptr) {
     write_run_manifest(*metrics, trial_config, base_seed, trials, faults);
   }

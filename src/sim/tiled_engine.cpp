@@ -1,17 +1,11 @@
 #include "sim/tiled_engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace pacds {
 
 TiledEngine::TiledEngine(const SimConfig& config)
     : config_(config), moved_(static_cast<std::size_t>(config.n_hosts)) {
-  if (!tiled_engine_eligible(config_)) {
-    throw std::invalid_argument(
-        "TiledEngine: configuration not eligible (needs simultaneous "
-        "strategy, no custom key, unit-disk links, no clique policy)");
-  }
   make_interval_pool(config_.threads, pool_);
   if (config_.radio != RadioKind::kUnitDisk) {
     radio_.emplace(config_.radio, config_.radio_params, config_.radius);

@@ -33,7 +33,8 @@ namespace pacds {
 
 class TiledEngine final : public LifetimeEngine {
  public:
-  /// Throws std::invalid_argument when !tiled_engine_eligible(config).
+  /// The config must satisfy tiled_engine_eligible; make_lifetime_engine
+  /// checks it through validate_sim_config.
   explicit TiledEngine(const SimConfig& config);
 
   void update(const std::vector<Vec2>& positions,

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "io/json_parse.hpp"
 #include "sim/lifetime.hpp"
@@ -363,11 +364,32 @@ TEST(CliTest, SimBackboneOption) {
                                 "--backbone", "cds22", "--engine",
                                 "incremental"});
   EXPECT_EQ(clash.code, 2);
-  EXPECT_NE(clash.err.find("needs --engine auto or full"), std::string::npos);
+  EXPECT_NE(clash.err.find("cds22 needs config.engine auto or full"),
+            std::string::npos);
   const CliRun unknown = run_cli(
       {"sim", "--n", "12", "--trials", "1", "--backbone", "mesh"});
   EXPECT_EQ(unknown.code, 2);
   EXPECT_NE(unknown.err.find("unknown backbone"), std::string::npos);
+}
+
+TEST(CliTest, SimRejectsConfigsTheSimulatorRefuses) {
+  // Each is refused before a trial, or a pool, starts: --threads 257 would
+  // otherwise ask for 256 interval workers.
+  for (const auto& [flag, value, key] :
+       {std::tuple{"--depth", "1e300", "field_depth"},
+        std::tuple{"--quantum", "-1", "quantum"},
+        std::tuple{"--threads", "257", "threads"}}) {
+    const CliRun r = run_cli({"sim", "--n", "30", "--trials", "1", flag, value});
+    EXPECT_EQ(r.code, 2) << flag << " " << value;
+    EXPECT_NE(r.err.find(key), std::string::npos) << r.err;
+  }
+}
+
+TEST(CliTest, SweepBoundsJobs) {
+  // Rejected before any trial pool exists.
+  const CliRun r = run_cli({"sweep", "--jobs", "1025"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--jobs"), std::string::npos);
 }
 
 TEST(CliTest, MetricsUnwritablePathFails) {

@@ -148,7 +148,11 @@ SimConfig non_default_config() {
 }
 
 TEST(ConfigJsonTest, EveryFieldRoundTripsLossless) {
-  const SimConfig original = non_default_config();
+  // The pinned config's tiled engine cannot run its cds22 backbone, custom
+  // key or clique policy, so the parser refuses it; the full-rebuild engine
+  // runs them and is as far from the default.
+  SimConfig original = non_default_config();
+  original.engine = SimEngine::kFullRebuild;
   const std::string wire = to_json(original);
   const SimConfig parsed = from_json(wire);
   expect_config_eq(parsed, original);
@@ -310,6 +314,29 @@ TEST(ConfigJsonTest, FadingSeedBeyondExactDoubleRangeFails) {
       (void)from_json(
           "{\"radio_params\": {\"fading_seed\": 9007199254740994}}"),
       std::runtime_error);
+}
+
+TEST(ConfigJsonTest, ValidateHoldsCodeBuiltConfigsToTheWireRules) {
+  EXPECT_EQ(validate_sim_config(SimConfig{}), "");
+  SimConfig c;
+  c.threads = 257;
+  EXPECT_EQ(validate_sim_config(c),
+            "config.threads must be an integer in [0, 256]");
+  c = SimConfig{};
+  c.radio_params.fading_seed = std::uint64_t{1} << 53;
+  EXPECT_EQ(validate_sim_config(c),
+            "config.radio_params.fading_seed must be an integer in [0, "
+            "9007199254740991]");
+  EXPECT_THROW((void)checked_sim_config(c), std::invalid_argument);
+  // A refused config that still writes parses to the same message.
+  c = SimConfig{};
+  c.field_depth = 1e300;
+  try {
+    (void)from_json(to_json(c));
+    ADD_FAILURE() << "field_depth 1e300 accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), "test: " + validate_sim_config(c));
+  }
 }
 
 TEST(ConfigJsonTest, OutOfRangeValuesFail) {

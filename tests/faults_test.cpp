@@ -285,6 +285,19 @@ TEST(FaultPlanTest, ValidateAppliesTheParserRangeRules) {
             "fault plan: channel.backoff_cap must be >= channel.backoff_base");
 }
 
+TEST(FaultPlanTest, ValidateAppliesTheChannelRuleToRetryCounts) {
+  // A parsed plan meets max_attempts >= 1 through its field list; one built
+  // in code is held to it by the channel rule run_faulty_protocol applies.
+  FaultPlan plan;
+  plan.retry.max_attempts = 0;
+  try {
+    validate_fault_plan(plan, 10);
+    ADD_FAILURE() << "max_attempts = 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "fault plan: channel.max_attempts must be >= 1");
+  }
+}
+
 TEST(FaultPlanTest, ScheduleSortsByIntervalStably) {
   FaultPlan plan;
   plan.crashes = {{0, 5, 8}, {1, 2, 0}};

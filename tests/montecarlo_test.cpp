@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "io/json_parse.hpp"
@@ -34,6 +35,17 @@ TEST(MonteCarloTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.intervals.mean, b.intervals.mean);
   EXPECT_DOUBLE_EQ(a.intervals.stddev, b.intervals.stddev);
   EXPECT_DOUBLE_EQ(a.avg_gateways.mean, b.avg_gateways.mean);
+}
+
+TEST(MonteCarloTest, RefusedConfigThrowsOnTheCallingThread) {
+  // Checked before the trials reach the pool: thrown on a worker, the
+  // mobility constructor's error would end the process.
+  SimConfig config = tiny_config();
+  config.mobility_kind = MobilityKind::kGaussMarkov;
+  config.mobility_params.alpha = 2.0;
+  ThreadPool pool(2);
+  EXPECT_THROW((void)run_lifetime_trials(config, 4, 1, &pool),
+               std::invalid_argument);
 }
 
 TEST(MonteCarloTest, TrialConfigForcesSerialIntervalsUnderPool) {

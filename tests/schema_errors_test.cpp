@@ -1,10 +1,11 @@
 // One table of malformed documents for the three strict JSON schemas the
 // program reads besides a bare SimConfig: fault plans, fuzz corpus files and
 // serve requests. Each row is a missing required key, a value of the wrong
-// type or an unknown key at one nesting level. Every row must be rejected
-// with its module's error prefix ("fault plan: " wherever a plan sits, as a
-// plan is read as a document of its own), a message that names the key,
-// and for serve the schema error code.
+// type or an unknown key at one nesting level, or a well-formed config that
+// breaks a rule of validate_sim_config. Every row must be rejected with its
+// module's error prefix ("fault plan: " wherever a plan sits, as a plan is
+// read as a document of its own), a message that names the key, and for
+// serve the schema error code.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,8 @@ struct Row {
   R"({"format":"pacds-fuzz-repro","schema":1,)" members "}"
 /// Request rows that need a valid create around the broken member.
 #define CREATE(members) R"({"op":"create","tenant":"a",)" members "}"
+/// The same for a sweep, which reads its config as create does.
+#define SWEEP(members) R"({"op":"sweep","tenant":"a",)" members "}"
 
 constexpr const char* kPlan = "fault plan: ";
 constexpr const char* kCorpus = "fuzz scenario: ";
@@ -75,7 +78,7 @@ constexpr Row kRows[] = {
     {Doc::kCorpus, CORPUS(R"("config":{"radio_params":{"sigma_db":"4"}})"), kCorpus, "config.radio_params.sigma_db"},
     {Doc::kCorpus, CORPUS(R"("config":{"radio_params":{"sigma":4}})"), kCorpus, "\"sigma\""},
     // corpus file, its fault plan
-    {Doc::kCorpus, CORPUS(R"("faults":null)"), kPlan, "document"},
+    {Doc::kCorpus, CORPUS(R"("faults":null)"), kPlan, "faults"},
     {Doc::kCorpus, CORPUS(R"("faults":{"seed":"1"})"), kPlan, "seed"},
     {Doc::kCorpus, CORPUS(R"("faults":{"crashes":[{"node":1}]})"), kPlan, "\"at\""},
     {Doc::kCorpus, CORPUS(R"("faults":{"crashs":[]})"), kPlan, "\"crashs\""},
@@ -98,15 +101,33 @@ constexpr Row kRows[] = {
     {Doc::kRequest, CREATE(R"("config":{"mobility_params":{"alpha":"x"}})"), kServe, "config.mobility_params.alpha"},
     {Doc::kRequest, CREATE(R"("config":{"radio_params":{"sigma":4}})"), kServe, "\"sigma\""},
     // serve request, its fault plan
-    {Doc::kRequest, CREATE(R"("config":{},"faults":null)"), kPlan, "document"},
+    {Doc::kRequest, CREATE(R"("config":{},"faults":null)"), kPlan, "faults"},
     {Doc::kRequest, CREATE(R"("config":{},"faults":{"thefts":[{"node":1,"at":2}]})"), kPlan, "\"amount\""},
     {Doc::kRequest, CREATE(R"("config":{},"faults":{"crashes":[{"node":1,"at":"2"}]})"), kPlan, "crashes[0].at"},
     {Doc::kRequest, CREATE(R"("config":{},"faults":{"channel":{"loss":0.1}})"), kPlan, "\"loss\""},
+    // serve request, a well-formed config the simulator would refuse
+    {Doc::kRequest, CREATE(R"("config":{"field_width":1e308,"field_height":1e308})"), kServe, "field_width"},
+    {Doc::kRequest, CREATE(R"("config":{"field_depth":1e300})"), kServe, "field_depth"},
+    {Doc::kRequest, CREATE(R"("config":{"radius":1e-300})"), kServe, "radius"},
+    {Doc::kRequest, CREATE(R"("config":{"mobility":"gauss-markov","mobility_params":{"alpha":2}})"), kServe, "mobility_params.alpha"},
+    {Doc::kRequest, SWEEP(R"("config":{"mobility":"gauss-markov","mobility_params":{"alpha":2}})"), kServe, "mobility_params.alpha"},
+    {Doc::kRequest, CREATE(R"("config":{"mobility":"random-walk","mobility_params":{"step_min":5,"step_max":1}})"), kServe, "mobility_params.step_max"},
+    {Doc::kRequest, CREATE(R"("config":{"mobility":"random-waypoint","mobility_params":{"speed_min":-1}})"), kServe, "mobility_params.speed_min"},
+    {Doc::kRequest, CREATE(R"("config":{"engine":"incremental"})"), kServe, "strategy"},
+    {Doc::kRequest, CREATE(R"("config":{"engine":"incremental","strategy":"simultaneous","custom_key":"EL2","use_rule_k":true})"), kServe, "custom_key"},
+    {Doc::kRequest, CREATE(R"("config":{"engine":"tiled","strategy":"simultaneous","clique_policy":"elect-max-key"})"), kServe, "clique_policy"},
+    {Doc::kRequest, CREATE(R"("config":{"backbone":"cds22","engine":"incremental"})"), kServe, "backbone"},
+    {Doc::kRequest, CREATE(R"("config":{"drain_params":{"nongateway_drain":-1}})"), kServe, "drain_params.nongateway_drain"},
+    {Doc::kRequest, CREATE(R"("config":{"drain_model":"constant","drain_params":{"constant_base":-5}})"), kServe, "drain_params.constant_base"},
+    {Doc::kRequest, CREATE(R"("config":{"drain_model":"quadratic","drain_params":{"quadratic_divisor":-1}})"), kServe, "drain_params.quadratic_divisor"},
+    {Doc::kRequest, CREATE(R"("config":{"stability_quantum":-1})"), kServe, "stability_quantum"},
+    {Doc::kRequest, CREATE(R"("config":{"n":200,"radius":32,"field_width":147573952589676396544},"faults":{"crashes":[{"node":199,"at":1}]})"), kServe, "field_width"},
 };
 // clang-format on
 
 #undef CORPUS
 #undef CREATE
+#undef SWEEP
 
 /// The row's error message, or "" when the document was accepted.
 std::string error_of(const Row& row) {
@@ -137,6 +158,27 @@ TEST(SchemaErrorsTest, EveryMalformedDocumentIsRejectedByName) {
     EXPECT_NE(message.find(row.names), std::string::npos)
         << row.text << "\n  -> " << message;
   }
+}
+
+// A sweep reads the request keys a create reads, so every create row must
+// be rejected the same way when it is sent as a sweep.
+TEST(SchemaErrorsTest, EveryCreateRowIsRejectedAsASweepToo) {
+  const std::string create = R"({"op":"create",)";
+  std::size_t creates = 0;
+  for (const Row& row : kRows) {
+    if (row.doc != Doc::kRequest || std::string(row.text).rfind(create, 0)) {
+      continue;
+    }
+    ++creates;
+    const std::string sweep =
+        R"({"op":"sweep",)" + std::string(row.text).substr(create.size());
+    const std::string message = error_of({row.doc, sweep.c_str(), "", ""});
+    ASSERT_FALSE(message.empty()) << "accepted: " << sweep;
+    EXPECT_EQ(message.rfind(row.prefix, 0), 0u) << sweep << "\n  -> " << message;
+    EXPECT_NE(message.find(row.names), std::string::npos)
+        << sweep << "\n  -> " << message;
+  }
+  EXPECT_GE(creates, 20u);
 }
 
 }  // namespace

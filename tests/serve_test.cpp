@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -529,6 +530,60 @@ TEST(ServeServerTest, FullStreamPassesSchemaValidation) {
   EXPECT_GE(result.count_of("interval"), 1u);
   EXPECT_EQ(result.count_of("serve_response"), 2u);
   EXPECT_EQ(result.count_of("serve_error"), 1u);
+}
+
+// A config the simulator would refuse is a schema error at create, so a
+// tick on that tenant finds none, and a pooled server keeps answering.
+TEST(ServeServerTest, RefusedConfigLeavesThePooledServerAnswering) {
+  ServeOptions options;
+  options.threads = 2;
+  const std::string out = serve_lines(
+      {R"({"op":"create","tenant":"bad","config":{"n":10,)"
+       R"("mobility":"gauss-markov","mobility_params":{"alpha":2}}})",
+       R"({"op":"tick","tenant":"bad","intervals":1})",
+       R"({"op":"create","tenant":"good","config":{"n":12},"trials":1})",
+       R"({"op":"tick","tenant":"good","intervals":2})",
+       R"({"op":"status","tenant":"good"})"},
+      options);
+  const auto errors = records_of_type(out, "serve_error");
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].find("seq")->as_number(), 1.0);
+  EXPECT_EQ(errors[0].find("code")->as_string(), "schema");
+  EXPECT_NE(errors[0].find("error")->as_string().find("alpha"),
+            std::string::npos);
+  EXPECT_EQ(errors[1].find("seq")->as_number(), 2.0);
+  EXPECT_EQ(errors[1].find("code")->as_string(), "unknown_tenant");
+  const auto responses = records_of_type(out, "serve_response");
+  ASSERT_EQ(responses.size(), 3u);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].find("seq")->as_number(),
+              static_cast<double>(i + 3));
+  }
+  EXPECT_EQ(records_of_type(out, "interval").size(), 2u);
+}
+
+// tests/serve_rejects.jsonl, which CI pipes through `pacds serve`: every
+// line gets exactly one terminal record, and the stream ends cleanly.
+TEST(ServeServerTest, RejectsFileGetsOneTerminalRecordPerLine) {
+  std::ifstream file(PACDS_SERVE_REJECTS);
+  ASSERT_TRUE(file.good()) << PACDS_SERVE_REJECTS;
+  std::ostringstream out;
+  ServeOptions options;
+  options.threads = 2;
+  Server server(options, out);
+  EXPECT_EQ(server.run(file), 0);
+  std::vector<double> seqs;
+  for (const JsonValue& record : records_of(out.str())) {
+    const std::string type = record.find("type")->as_string();
+    if (type == "serve_response" || type == "serve_error") {
+      seqs.push_back(record.find("seq")->as_number());
+    }
+  }
+  ASSERT_EQ(seqs.size(), 35u);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(seqs[i], static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(records_of_type(out.str(), "serve_error").size(), 31u);
 }
 
 // ------------------------------------------------------------------ socket
