@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cds.hpp"
@@ -219,6 +220,81 @@ TEST(DistFaultsTest, CompletionMatchesUndeliveredCount) {
   EXPECT_EQ(faulty.complete, faulty.undelivered_links == 0);
   EXPECT_FALSE(faulty.complete);  // 60% loss, no retries: cannot deliver all
   EXPECT_EQ(faulty.retransmissions, 0u);
+}
+
+TEST(DistFaultsTest, PinnedResults) {
+  // Exact results of the ARQ run on a channel that drops, duplicates and
+  // delays frames, under the default retry policy and under two attempts
+  // (which leaves links undelivered), each with and without a shadowing
+  // radio. Every field depends on the order of the channel draws, so a
+  // change that reorders a draw, an attempt or a phase fails here.
+  struct Pin {
+    std::uint64_t graph_seed;
+    int max_attempts;
+    bool shadowing;
+    const char* gateways;
+    std::size_t hello_msgs;
+    std::size_t list_msgs;
+    std::size_t status_msgs;
+    std::size_t retransmissions;
+    std::size_t dropped_frames;
+    std::size_t duplicate_frames;
+    std::size_t delayed_frames;
+    std::size_t backoff_rounds;
+    std::size_t undelivered_links;
+    bool complete;
+    std::size_t status_disagreements;
+    bool valid_cds;
+  };
+  const Pin pins[] = {
+    {5, 12, false, "{2, 5, 9, 13, 16, 18, 19, 20, 25, 29}",
+     58, 58, 78, 91, 133, 42, 82, 51, 0, true, 0, false},
+    {5, 12, true, "{2, 5, 9, 13, 16, 18, 19, 20, 25, 29}",
+     60, 65, 95, 117, 169, 41, 83, 51, 0, true, 0, false},
+    {5, 2, false, "{2, 5, 9, 13, 15, 16, 18, 19, 20, 22, 25, 29}",
+     51, 51, 67, 68, 123, 39, 79, 5, 21, false, 2, false},
+    {5, 2, true, "{0, 2, 5, 9, 13, 16, 18, 20, 25, 26, 29}",
+     51, 50, 71, 70, 140, 37, 87, 5, 27, false, 3, false},
+    {13, 12, false, "{0, 4, 11, 13, 15, 16, 22, 23, 29}",
+     51, 63, 72, 82, 115, 45, 62, 29, 0, true, 0, false},
+    {13, 12, true, "{0, 4, 11, 13, 15, 16, 22, 23, 29}",
+     57, 69, 77, 99, 143, 43, 65, 49, 0, true, 0, false},
+    {13, 2, false, "{0, 4, 11, 13, 15, 16, 22, 23, 29}",
+     47, 50, 66, 59, 110, 42, 60, 5, 16, false, 0, false},
+    {13, 2, true, "{0, 4, 11, 13, 15, 16, 22, 23, 29}",
+     48, 52, 67, 64, 133, 42, 58, 5, 27, false, 0, false},
+  };
+  dist::ChannelFaultConfig channel;
+  channel.drop = 0.2;
+  channel.duplicate = 0.1;
+  channel.delay = 0.15;
+  RadioParams params;
+  params.fading_seed = 21;
+  const RadioModel shadowing(RadioKind::kShadowing, params, kPaperRadius);
+  for (const Pin& pin : pins) {
+    const Graph g = random_graph(pin.graph_seed);
+    dist::RetryPolicy retry;
+    retry.max_attempts = pin.max_attempts;
+    const dist::FaultyProtocolResult r = dist::run_faulty_protocol(
+        g, RuleSet::kEL2, channel, retry, pin.graph_seed + 100,
+        ramp_energy(g.num_nodes()), pin.shadowing ? &shadowing : nullptr);
+    const std::string label = std::to_string(pin.graph_seed) + " attempts " +
+                              std::to_string(pin.max_attempts) +
+                              (pin.shadowing ? " shadowing" : "");
+    EXPECT_EQ(r.protocol.gateways.to_string(), pin.gateways) << label;
+    EXPECT_EQ(r.protocol.hello_msgs, pin.hello_msgs) << label;
+    EXPECT_EQ(r.protocol.list_msgs, pin.list_msgs) << label;
+    EXPECT_EQ(r.protocol.status_msgs, pin.status_msgs) << label;
+    EXPECT_EQ(r.retransmissions, pin.retransmissions) << label;
+    EXPECT_EQ(r.dropped_frames, pin.dropped_frames) << label;
+    EXPECT_EQ(r.duplicate_frames, pin.duplicate_frames) << label;
+    EXPECT_EQ(r.delayed_frames, pin.delayed_frames) << label;
+    EXPECT_EQ(r.backoff_rounds, pin.backoff_rounds) << label;
+    EXPECT_EQ(r.undelivered_links, pin.undelivered_links) << label;
+    EXPECT_EQ(r.complete, pin.complete) << label;
+    EXPECT_EQ(r.status_disagreements, pin.status_disagreements) << label;
+    EXPECT_EQ(r.valid_cds, pin.valid_cds) << label;
+  }
 }
 
 TEST(DistFaultsTest, RejectsInvalidConfigs) {
