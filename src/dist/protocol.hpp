@@ -1,10 +1,12 @@
 #pragma once
 // Synchronous round driver for the distributed protocol: the only component
 // that sees the global Graph, and it uses it exclusively as the radio
-// medium — each broadcast is delivered verbatim to the sender's unit-disk
-// neighbors. Running the protocol and comparing against the centralized
-// compute_cds (simultaneous strategy) is the library's proof that the
-// algorithms are genuinely 2-hop-local.
+// medium. The reliable, lossy and ARQ runs share one round script and
+// differ only in how a round's frames reach the sender's unit-disk
+// neighbors, so a zero-rate ARQ channel, which delivers every frame at its
+// first attempt, is exactly the reliable run. Comparing the reliable run
+// with the centralized compute_cds (simultaneous strategy) is the
+// library's proof that the algorithms are genuinely 2-hop-local.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,17 +33,11 @@ struct ProtocolResult {
   }
 };
 
-/// Executes the full protocol on one network snapshot. `energy` may be
-/// empty for the non-energy key kinds (agents then exchange energy 0).
-/// With `use_rules` false, stops after the marking round (the NR scheme).
-[[nodiscard]] ProtocolResult run_protocol(const Graph& g, KeyKind kind,
-                                          Rule2Form form,
-                                          const std::vector<double>& energy = {},
-                                          bool use_rules = true);
-
-/// Convenience: runs the protocol with the configuration of scheme `rs` and
-/// returns the result (must equal compute_cds(g, rs, energy,
-/// {.strategy = kSimultaneous}) — property-tested).
+/// Executes the full protocol of scheme `rs` on one network snapshot over a
+/// reliable radio. `energy` may be empty for the non-energy key kinds
+/// (agents then exchange energy 0); NR stops after the marking round. The
+/// result must equal compute_cds(g, rs, energy,
+/// {.strategy = kSimultaneous}) — property-tested.
 [[nodiscard]] ProtocolResult run_protocol_scheme(const Graph& g, RuleSet rs,
                                                  const std::vector<double>&
                                                      energy = {});
