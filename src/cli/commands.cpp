@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -52,6 +53,48 @@ struct UsageError : std::runtime_error {
   std::string usage;
 };
 
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// --<name> as an integer in [lo, hi]. Anything else is a UsageError naming
+/// the flag, so no value is narrowed or wrapped on its way in.
+std::int64_t int_flag(const ArgParser& parser, const std::string& name,
+                      std::int64_t lo, std::int64_t hi) {
+  const std::string raw = parser.option(name);
+  const std::optional<std::int64_t> value = parser.option_int(name);
+  if (!value) {
+    throw UsageError("--" + name + " takes an integer, not '" + raw + "'");
+  }
+  if (*value < lo || *value > hi) {
+    throw UsageError("--" + name + " " + raw + " is out of range [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return *value;
+}
+
+/// --<name> as a finite number no smaller than `lo`; anything else is a
+/// UsageError naming the flag.
+double double_flag(const ArgParser& parser, const std::string& name,
+                   double lo = -std::numeric_limits<double>::infinity()) {
+  const std::string raw = parser.option(name);
+  const std::optional<double> value = parser.option_double(name);
+  if (!value) {
+    throw UsageError("--" + name + " takes a finite number, not '" + raw +
+                     "'");
+  }
+  if (*value < lo) {
+    throw UsageError("--" + name + " " + raw + " is below " +
+                     JsonWriter::format_double(lo));
+  }
+  return *value;
+}
+
+/// --seed (and the like) as an RNG seed: any non-negative int64.
+std::uint64_t seed_flag(const ArgParser& parser, const std::string& name) {
+  return static_cast<std::uint64_t>(int_flag(parser, name, 0, kInt64Max));
+}
+
 /// Graph source options shared by several subcommands.
 void add_graph_options(ArgParser& parser) {
   parser.add_option("input", "edge-list file ('n m' header, 'u v' lines)", "");
@@ -83,20 +126,16 @@ LoadedGraph load_graph(const ArgParser& parser) {
     return LoadedGraph{scenario.graph(), std::move(scenario.positions),
                        std::move(scenario.energies), scenario.radius};
   }
-  const auto n = parser.option_int("random");
-  const auto seed = parser.option_int("seed");
-  const auto radius = parser.option_double("radius");
-  if (!n || *n < 1 || !seed || !radius || *radius < 0.0) {
-    throw std::runtime_error("bad --random/--seed/--radius values");
-  }
-  Xoshiro256 rng(static_cast<std::uint64_t>(*seed));
-  if (auto placed = random_connected_placement(
-          static_cast<int>(*n), Field::paper_field(), *radius, rng, 2000)) {
+  const auto n = static_cast<int>(int_flag(parser, "random", 1, 1000000));
+  const double radius = double_flag(parser, "radius", 0.0);
+  Xoshiro256 rng(seed_flag(parser, "seed"));
+  if (auto placed = random_connected_placement(n, Field::paper_field(),
+                                               radius, rng, 2000)) {
     return LoadedGraph{std::move(placed->graph), std::move(placed->positions),
-                       {}, *radius};
+                       {}, radius};
   }
   std::ostringstream message;
-  message << "no connected placement found for n=" << *n << " r=" << *radius
+  message << "no connected placement found for n=" << n << " r=" << radius
           << " (try a larger radius)";
   throw std::runtime_error(message.str());
 }
@@ -142,13 +181,23 @@ DrainModel drain_model_of(std::int64_t model) {
 }
 
 /// Opens --metrics when given; a default-constructed sink stays detached.
-/// Throws when the path cannot be opened for writing.
-void open_metrics(const std::string& path, std::ofstream& file,
-                  std::optional<obs::JsonlSink>& sink) {
-  if (path.empty()) return;
-  file.open(path);
-  if (!file) throw std::runtime_error("cannot write " + path);
-  sink.emplace(file);
+/// "-" streams the records to `out`; the command's tables and its "wrote"
+/// line then go to `err`, which this returns in place of `out`, so the
+/// record stream stays machine-parseable. Throws when the path cannot be
+/// opened for writing.
+std::ostream& open_metrics(const std::string& path, std::ofstream& file,
+                           std::optional<obs::JsonlSink>& sink,
+                           std::ostream& out, std::ostream& err) {
+  if (path == "-") {
+    sink.emplace(out);
+    return err;
+  }
+  if (!path.empty()) {
+    file.open(path);
+    if (!file) throw std::runtime_error("cannot write " + path);
+    sink.emplace(file);
+  }
+  return out;
 }
 
 /// Declares --help (every command's last option) and parses `tokens`; a
@@ -179,10 +228,9 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   if (parse_args(parser, tokens, out)) return 0;
   const LoadedGraph loaded = load_graph(parser);
   const Graph& g = loaded.graph;
-  const auto seed =
-      static_cast<std::uint64_t>(parser.option_int("seed").value_or(2001));
   const auto strategy = option_enum<Strategy>(parser, "strategy");
-  const std::vector<double> energy = energies_for(loaded, seed);
+  const std::vector<double> energy =
+      energies_for(loaded, seed_flag(parser, "seed"));
 
   const std::string save_path = parser.option("save-scenario");
   if (!save_path.empty()) {
@@ -289,27 +337,22 @@ int cmd_route(const std::vector<std::string>& tokens, std::ostream& out,
   const LoadedGraph loaded = load_graph(parser);
   const Graph& g = loaded.graph;
   const auto rs = option_enum<RuleSet>(parser, "scheme");
-  const auto src = parser.option_int("src");
-  const auto dst = parser.option_int("dst");
-  if (!src || !dst || *src < 0 || *dst < 0 || *src >= g.num_nodes() ||
-      *dst >= g.num_nodes()) {
-    throw UsageError("--src/--dst out of range [0, " +
-                     std::to_string(g.num_nodes()) + ")");
-  }
-  const auto seed =
-      static_cast<std::uint64_t>(parser.option_int("seed").value_or(2001));
-  const CdsResult cds = compute_cds(g, rs, energies_for(loaded, seed));
+  const auto src =
+      static_cast<NodeId>(int_flag(parser, "src", 0, g.num_nodes() - 1));
+  const auto dst =
+      static_cast<NodeId>(int_flag(parser, "dst", 0, g.num_nodes() - 1));
+  const CdsResult cds =
+      compute_cds(g, rs, energies_for(loaded, seed_flag(parser, "seed")));
   const DominatingSetRouter router(g, cds.gateways);
-  const RouteResult route = router.route(static_cast<NodeId>(*src),
-                                         static_cast<NodeId>(*dst));
+  const RouteResult route = router.route(src, dst);
   out << "gateways (" << cds.gateway_count
       << "): " << cds.gateways.to_string() << "\n";
   if (!route.delivered) {
-    out << "route " << *src << " -> " << *dst
+    out << "route " << src << " -> " << dst
         << ": UNDELIVERABLE (" << route.failure << ")\n";
     return 1;
   }
-  out << "route " << *src << " -> " << *dst << " (" << route.path.size() - 1
+  out << "route " << src << " -> " << dst << " (" << route.path.size() - 1
       << " hops):";
   for (const NodeId hop : route.path) out << " " << hop;
   out << "\n";
@@ -385,38 +428,26 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
                     "simulation in degraded mode past the first death",
                     "");
   if (parse_args(parser, tokens, out)) return 0;
-  const auto n = parser.option_int("n");
-  const auto trials = parser.option_int("trials");
-  const auto model = parser.option_int("model");
-  const auto seed = parser.option_int("seed");
-  const auto quantum = parser.option_double("quantum");
-  const auto threads = parser.option_int("threads");
-  const auto tiles = parser.option_int("tiles");
-  const auto depth = parser.option_double("depth");
-  const auto fading_seed = parser.option_int("fading-seed");
-  const auto stability_beta = parser.option_double("stability-beta");
-  const auto stability_quantum = parser.option_double("stability-quantum");
-  if (!n || !trials || *trials < 1 || !model || *model < 1 || *model > 3 ||
-      !seed || !quantum || !threads || !tiles || !depth || !fading_seed ||
-      !stability_beta || !stability_quantum) {
-    throw UsageError("bad numeric option", parser.usage());
-  }
+  const std::int64_t trials = int_flag(parser, "trials", 1, kInt64Max);
+  const std::uint64_t seed = seed_flag(parser, "seed");
+  // The int members take any int here; validate_sim_config holds their
+  // ranges.
   SimConfig config;
-  config.n_hosts = static_cast<int>(*n);
-  config.drain_model = drain_model_of(*model);
-  config.energy_key_quantum = *quantum;
+  config.n_hosts = static_cast<int>(int_flag(parser, "n", kIntMin, kIntMax));
+  config.drain_model = drain_model_of(int_flag(parser, "model", 1, 3));
+  config.energy_key_quantum = double_flag(parser, "quantum");
   config.cds_options.strategy = option_enum<Strategy>(parser, "strategy");
-  config.threads = static_cast<int>(*threads);
-  config.field_depth = *depth;
-  config.stability_beta = *stability_beta;
-  config.stability_quantum = *stability_quantum;
+  config.threads =
+      static_cast<int>(int_flag(parser, "threads", kIntMin, kIntMax));
+  config.field_depth = double_flag(parser, "depth");
+  config.stability_beta = double_flag(parser, "stability-beta");
+  config.stability_quantum = double_flag(parser, "stability-quantum");
   config.mobility_kind = option_enum<MobilityKind>(parser, "mobility");
   config.radio = option_enum<RadioKind>(parser, "radio");
-  config.radio_params.fading_seed =
-      static_cast<std::uint64_t>(*fading_seed);
+  config.radio_params.fading_seed = seed_flag(parser, "fading-seed");
   config.engine = option_enum<SimEngine>(parser, "engine");
   config.backbone = option_enum<BackboneMode>(parser, "backbone");
-  config.tiles = static_cast<int>(*tiles);
+  config.tiles = static_cast<int>(int_flag(parser, "tiles", kIntMin, kIntMax));
   if (const std::string error = validate_sim_config(config); !error.empty()) {
     throw UsageError(error);
   }
@@ -429,21 +460,14 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
     validate_fault_plan(*fault_plan, config.n_hosts);
   }
 
-  // --metrics - streams JSONL to stdout; the human tables then move to
-  // stderr so the record stream stays machine-parseable.
   const std::string metrics_path = parser.option("metrics");
-  const bool metrics_to_stdout = metrics_path == "-";
   std::ofstream metrics_file;
   std::optional<obs::JsonlSink> metrics;
-  if (metrics_to_stdout) {
-    metrics.emplace(out);
-  } else {
-    open_metrics(metrics_path, metrics_file, metrics);
-  }
-  std::ostream& report = metrics_to_stdout ? err : out;
+  std::ostream& report =
+      open_metrics(metrics_path, metrics_file, metrics, out, err);
 
-  report << "lifetime simulation: n=" << *n << ", "
-         << to_string(config.drain_model) << ", " << *trials << " trials";
+  report << "lifetime simulation: n=" << config.n_hosts << ", "
+         << to_string(config.drain_model) << ", " << trials << " trials";
   if (fault_plan) report << ", faults: " << faults_path;
   report << "\n";
   TextTable table(fault_plan
@@ -457,8 +481,7 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   for (const RuleSet rs : schemes) {
     config.rule_set = rs;
     const LifetimeSummary s = run_lifetime_trials(
-        config, static_cast<std::size_t>(*trials),
-        static_cast<std::uint64_t>(*seed), nullptr,
+        config, static_cast<std::size_t>(trials), seed, nullptr,
         metrics ? &*metrics : nullptr, fault_plan ? &*fault_plan : nullptr);
     if (fault_plan) {
       table.add_row({to_string(rs), TextTable::fmt(s.intervals.mean),
@@ -475,7 +498,7 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
     }
   }
   table.print(report);
-  if (metrics && !metrics_to_stdout) {
+  if (metrics) {
     report << "wrote " << metrics->records() << " metrics records to "
            << metrics_path << "\n";
   }
@@ -539,7 +562,7 @@ int run_set_size_study(const std::vector<int>& hosts, std::size_t trials,
 }
 
 int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
-              std::ostream& /*err*/) {
+              std::ostream& err) {
   ArgParser parser("pacds sweep",
                    "sweep host count x scheme (the figure harness)");
   parser.add_option("hosts",
@@ -565,24 +588,19 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
   parser.add_option("csv", "write the sweep table as CSV to this file", "");
   parser.add_option("metrics",
                     "stream JSONL metrics to this file (one run manifest per "
-                    "(n, scheme) point + one record per interval)",
+                    "(n, scheme) point + one record per interval); '-' "
+                    "streams to stdout and moves the tables to stderr",
                     "");
   parser.add_flag("ci", "add ±95% confidence columns to the tables");
   parser.add_flag("sets",
                   "measure CDS set sizes on single snapshots instead of "
                   "lifetimes (the Hansen-Schmutz check; see EXPERIMENTS.md)");
   if (parse_args(parser, tokens, out)) return 0;
-  const auto trials = parser.option_int("trials");
-  const auto model = parser.option_int("model");
-  const auto seed = parser.option_int("seed");
-  const auto jobs = parser.option_int("jobs");
-  if (!trials || *trials < 1 || !model || *model < 1 || *model > 3 || !seed ||
-      !jobs) {
-    throw UsageError("bad numeric option", parser.usage());
-  }
-  if (*jobs < 0 || *jobs > 1024) {
-    throw UsageError("--jobs must be an integer in [0, 1024]");
-  }
+  const auto trials =
+      static_cast<std::size_t>(int_flag(parser, "trials", 1, kInt64Max));
+  const std::int64_t model = int_flag(parser, "model", 1, 3);
+  const std::uint64_t seed = seed_flag(parser, "seed");
+  const std::int64_t jobs = int_flag(parser, "jobs", 0, 1024);
   const auto strategy = option_enum<Strategy>(parser, "strategy");
   const auto schemes = parse_scheme_list(parser);
 
@@ -610,35 +628,34 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
     }
   }
   if (parser.flag("sets")) {
-    return run_set_size_study(sweep.host_counts,
-                              static_cast<std::size_t>(*trials),
-                              static_cast<std::uint64_t>(*seed), out);
+    return run_set_size_study(sweep.host_counts, trials, seed, out);
   }
   sweep.schemes = schemes;
-  sweep.trials = static_cast<std::size_t>(*trials);
-  sweep.base_seed = static_cast<std::uint64_t>(*seed);
-  sweep.base.drain_model = drain_model_of(*model);
+  sweep.trials = trials;
+  sweep.base_seed = seed;
+  sweep.base.drain_model = drain_model_of(model);
   sweep.base.cds_options.strategy = strategy;
 
+  const std::string metrics_path = parser.option("metrics");
   std::ofstream metrics_file;
   std::optional<obs::JsonlSink> metrics;
-  open_metrics(parser.option("metrics"), metrics_file, metrics);
+  std::ostream& report =
+      open_metrics(metrics_path, metrics_file, metrics, out, err);
   std::optional<ThreadPool> pool;
-  if (*jobs != 1) {
-    pool.emplace(*jobs == 0 ? 0 : static_cast<std::size_t>(*jobs));
-  }
+  if (jobs != 1) pool.emplace(static_cast<std::size_t>(jobs));
 
-  out << "sweep: " << sweep.host_counts.size() << " host counts x "
-      << sweep.schemes.size() << " schemes, "
-      << to_string(sweep.base.drain_model) << ", " << sweep.trials
-      << " trials each\n";
+  report << "sweep: " << sweep.host_counts.size() << " host counts x "
+         << sweep.schemes.size() << " schemes, "
+         << to_string(sweep.base.drain_model) << ", " << sweep.trials
+         << " trials each\n";
   const SweepResult result =
       run_sweep(sweep, pool ? &*pool : nullptr, metrics ? &*metrics : nullptr);
-  out << "\nlifetime (intervals to first death):\n";
-  sweep_table(result, SweepMetric::kLifetime, parser.flag("ci")).print(out);
-  out << "\nmean gateway count:\n";
+  report << "\nlifetime (intervals to first death):\n";
+  sweep_table(result, SweepMetric::kLifetime, parser.flag("ci"))
+      .print(report);
+  report << "\nmean gateway count:\n";
   sweep_table(result, SweepMetric::kGatewayCount, parser.flag("ci"))
-      .print(out);
+      .print(report);
 
   const std::string csv_path = parser.option("csv");
   if (!csv_path.empty()) {
@@ -646,11 +663,11 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
                         sweep_csv_rows(result, SweepMetric::kLifetime))) {
       throw std::runtime_error("cannot write " + csv_path);
     }
-    out << "\nwrote " << csv_path << "\n";
+    report << "\nwrote " << csv_path << "\n";
   }
   if (metrics) {
-    out << "wrote " << metrics->records() << " metrics records to "
-        << parser.option("metrics") << "\n";
+    report << "wrote " << metrics->records() << " metrics records to "
+           << metrics_path << "\n";
   }
   return 0;
 }
@@ -698,12 +715,10 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
                     "and moves the ratio table to stderr",
                     "");
   if (parse_args(parser, tokens, out)) return 0;
-  const auto trials = parser.option_int("trials");
-  const auto seed = parser.option_int("seed");
-  const auto budget = parser.option_int("budget");
-  if (!trials || *trials < 1 || !seed || !budget || *budget < 1) {
-    throw UsageError("bad numeric option", parser.usage());
-  }
+  const auto trials = static_cast<int>(int_flag(parser, "trials", 1, kIntMax));
+  const std::uint64_t seed = seed_flag(parser, "seed");
+  const auto budget =
+      static_cast<std::uint64_t>(int_flag(parser, "budget", 1, kInt64Max));
   std::string bad;
   const auto host_list = parse_int_list(parser.option("hosts"), 2, 2000, &bad);
   if (!host_list) throw UsageError("bad --hosts entry '" + bad + "'");
@@ -711,23 +726,18 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
   if (!radius_list) throw UsageError("bad --radius entry '" + bad + "'");
 
   const std::string metrics_path = parser.option("metrics");
-  const bool metrics_to_stdout = metrics_path == "-";
   std::ofstream metrics_file;
   std::optional<obs::JsonlSink> metrics;
-  if (metrics_to_stdout) {
-    metrics.emplace(out);
-  } else {
-    open_metrics(metrics_path, metrics_file, metrics);
-  }
-  std::ostream& report = metrics_to_stdout ? err : out;
+  std::ostream& report =
+      open_metrics(metrics_path, metrics_file, metrics, out, err);
 
   if (metrics) {
     metrics->record([&](JsonWriter& json) {
       json.key("type").value("gap_manifest");
       json.key("schema").value(kMetricsSchemaVersion);
-      json.key("base_seed").value(static_cast<std::size_t>(*seed));
-      json.key("trials").value(static_cast<std::size_t>(*trials));
-      json.key("node_budget").value(static_cast<std::size_t>(*budget));
+      json.key("base_seed").value(static_cast<std::size_t>(seed));
+      json.key("trials").value(static_cast<std::size_t>(trials));
+      json.key("node_budget").value(static_cast<std::size_t>(budget));
       json.key("hosts").begin_array();
       for (const std::int64_t n : *host_list) {
         json.value(static_cast<std::int64_t>(n));
@@ -741,7 +751,7 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
 
   report << "optimality gap: size / exact optimum on random connected "
             "unit-disk networks; "
-         << *trials << " instances per point, node budget " << *budget
+         << trials << " instances per point, node budget " << budget
          << "\n";
   TextTable table({"n", "radius", "solved", "opt", "ID", "ND", "EL1", "EL2",
                    "greedy", "MIS", "tree", "cds22"});
@@ -758,13 +768,12 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
                               {"EL2", {}},    {"greedy", {}}, {"MIS", {}},
                               {"tree", {}},   {"cds22", {}}};
       int attempted = 0;
-      for (int trial = 0; trial < static_cast<int>(*trials); ++trial) {
+      for (int trial = 0; trial < trials; ++trial) {
         const std::uint64_t instance =
-            (ni * radius_list->size() + ri) * static_cast<std::uint64_t>(
-                                                 *trials) +
+            (ni * radius_list->size() + ri) *
+                static_cast<std::uint64_t>(trials) +
             static_cast<std::uint64_t>(trial);
-        Xoshiro256 rng(derive_seed(static_cast<std::uint64_t>(*seed),
-                                   0xa11u * instance + 1));
+        Xoshiro256 rng(derive_seed(seed, 0xa11u * instance + 1));
         const auto placed = random_connected_placement(
             n, Field::paper_field(), radius, rng, 5000);
         if (!placed) continue;
@@ -776,8 +785,7 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
           energy.push_back(static_cast<double>(rng.uniform_int(1, 100)));
         }
         BbStats stats;
-        const auto exact = bb_min_cds(
-            g, BbOptions{static_cast<std::uint64_t>(*budget)}, &stats);
+        const auto exact = bb_min_cds(g, BbOptions{budget}, &stats);
         const std::size_t sizes[] = {
             compute_cds(g, RuleSet::kID, energy).gateway_count,
             compute_cds(g, RuleSet::kND, energy).gateway_count,
@@ -838,7 +846,7 @@ int cmd_gap(const std::vector<std::string>& tokens, std::ostream& out,
   table.print(report);
   report << "(ratios are mean size/optimum over the proven instances; "
             "1.00 = optimal)\n";
-  if (metrics && !metrics_to_stdout) {
+  if (metrics) {
     report << "wrote " << metrics->records() << " gap records to "
            << metrics_path << "\n";
   }
@@ -856,10 +864,9 @@ int cmd_faults(const std::vector<std::string>& tokens, std::ostream& out,
   if (parse_args(parser, tokens, out)) return 0;
   const std::string plan_path = parser.option("plan");
   if (plan_path.empty()) throw UsageError("--plan is required", parser.usage());
-  const auto n = parser.option_int("n");
-  if (!n || *n < 0) throw UsageError("bad --n value");
+  const auto n = static_cast<int>(int_flag(parser, "n", 0, kIntMax));
   const FaultPlan plan = load_fault_plan(plan_path);
-  if (*n > 0) validate_fault_plan(plan, static_cast<int>(*n));
+  if (n > 0) validate_fault_plan(plan, n);
   if (parser.flag("json")) {
     JsonWriter json(out, 2);
     write_fault_plan(json, plan);
@@ -924,17 +931,11 @@ int cmd_fuzz(const std::vector<std::string>& tokens, std::ostream& out,
                     "reproducer directory: replayed first, new findings "
                     "written here (empty = none)", "");
   if (parse_args(parser, tokens, out)) return 0;
-  const auto seed = parser.option_int("seed");
-  const auto iters = parser.option_int("iters");
-  const auto budget = parser.option_double("time-budget");
-  if (!seed || *seed < 0 || !iters || *iters < 0 || !budget || *budget < 0) {
-    throw UsageError("--seed/--iters/--time-budget must be non-negative "
-                     "numbers");
-  }
   fuzz::FuzzOptions options;
-  options.seed = static_cast<std::uint64_t>(*seed);
-  options.iterations = static_cast<std::uint64_t>(*iters);
-  options.time_budget_seconds = *budget;
+  options.seed = seed_flag(parser, "seed");
+  options.iterations =
+      static_cast<std::uint64_t>(int_flag(parser, "iters", 0, kInt64Max));
+  options.time_budget_seconds = double_flag(parser, "time-budget", 0.0);
   options.corpus_dir = parser.option("corpus");
   return fuzz::run_fuzz(options, out).ok() ? 0 : 1;
 }
@@ -968,24 +969,14 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out,
   options.max_tenants =
       env_size_t("PACDS_SERVE_MAX_TENANTS", options.max_tenants);
   if (!parser.option("queue").empty()) {
-    const auto queue = parser.option_int("queue");
-    if (!queue || *queue < 1) {
-      throw UsageError("--queue must be a positive integer");
-    }
-    options.queue_limit = static_cast<std::size_t>(*queue);
+    options.queue_limit =
+        static_cast<std::size_t>(int_flag(parser, "queue", 1, kInt64Max));
   }
   if (!parser.option("max-tenants").empty()) {
-    const auto cap = parser.option_int("max-tenants");
-    if (!cap || *cap < 1) {
-      throw UsageError("--max-tenants must be a positive integer");
-    }
-    options.max_tenants = static_cast<std::size_t>(*cap);
+    options.max_tenants = static_cast<std::size_t>(
+        int_flag(parser, "max-tenants", 1, kInt64Max));
   }
-  const auto threads = parser.option_int("threads");
-  if (!threads || *threads < 0 || *threads > 1024) {
-    throw UsageError("--threads must be an integer in [0, 1024]");
-  }
-  options.threads = static_cast<int>(*threads);
+  options.threads = static_cast<int>(int_flag(parser, "threads", 0, 1024));
 
   serve::Server server(options, out);
   const std::string socket_path = parser.option("socket");
