@@ -23,7 +23,6 @@
 #include "obs/jsonl.hpp"
 #include "obs/validate.hpp"
 #include "serve/server.hpp"
-#include "sim/config_json.hpp"
 #include "sim/engine.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/tiled_engine.hpp"
@@ -617,31 +616,23 @@ void check_serve_identity(const FuzzScenario& s, const OracleOptions& opts,
                               kTrials, s.trial_seed, nullptr, &sink, plan);
   }
 
-  std::ostringstream create;
-  {
-    JsonWriter json(create);
-    json.begin_object();
-    json.key("op").value("create");
-    json.key("tenant").value("fuzz");
-    json.key("config");
-    write_sim_config_json(json, s.config);
-    json.key("seed").value(s.trial_seed);
-    json.key("trials").value(static_cast<std::int64_t>(kTrials));
-    if (plan != nullptr) {
-      json.key("faults");
-      write_fault_plan(json, s.faults);
-    }
-    json.end_object();
-  }
-  const std::string tick =
-      s.serve_ticks > 0
-          ? "{\"op\":\"tick\",\"tenant\":\"fuzz\",\"intervals\":" +
-                std::to_string(s.serve_ticks) + "}"
-          : "{\"op\":\"tick\",\"tenant\":\"fuzz\"}";
+  serve::Request create;
+  create.op = serve::Op::kCreate;
+  create.tenant = "fuzz";
+  create.config = s.config;
+  create.seed = s.trial_seed;
+  create.trials = kTrials;
+  create.faults = s.faults;
+  create.has_faults = plan != nullptr;
+  serve::Request tick_request;
+  tick_request.op = serve::Op::kTick;
+  tick_request.tenant = "fuzz";
+  tick_request.intervals = s.serve_ticks;  // 0 = every remaining trial
+  const std::string tick = serve::write_request(tick_request);
 
   std::ostringstream served;
   serve::Server server(serve::ServeOptions{}, served);
-  server.process_lines({create.str()});
+  server.process_lines({serve::write_request(create)});
   // Tick until the response reports finished; the budget-0 spelling takes
   // one request, chunked ticks at most total-intervals + one per trial.
   const long cap = kTrials * (s.config.max_intervals + 2) + 2;

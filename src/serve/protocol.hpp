@@ -100,6 +100,11 @@ struct RequestError {
                                                    std::uint64_t seq,
                                                    RequestError& error);
 
+/// Writes `request` as one request line, without the newline: the keys of
+/// its field list that its op takes, and "faults" only when `has_faults` is
+/// set. parse_request reads the line back as the same request.
+[[nodiscard]] std::string write_request(const Request& request);
+
 /// Tenant names are identifiers, not free text: 1-64 chars from
 /// [A-Za-z0-9._-]. Keeps names JSON-injection-proof (tenant tagging splices
 /// them into records verbatim) and filesystem/display safe.

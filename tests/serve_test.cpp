@@ -27,6 +27,7 @@
 #include "io/json_parse.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/validate.hpp"
+#include "sim/config_json.hpp"
 #include "sim/montecarlo.hpp"
 
 namespace pacds::serve {
@@ -221,6 +222,50 @@ TEST(ServeProtocolTest, EveryRequestMemberIsRead) {
   EXPECT_EQ(tick->op, Op::kTick);
   EXPECT_EQ(tick->tenant, "t-2");
   EXPECT_EQ(tick->intervals, 6);
+
+  // write_request writes what parse_request reads, member by member, for
+  // every op (and for a configured op without a plan). Documents compare
+  // by their wire bytes; their own tests pin those member by member.
+  const auto wire = [](const auto& document) {
+    std::ostringstream out;
+    JsonWriter json(out);
+    write_document(json, document);
+    return out.str();
+  };
+  for (const auto& [op, with_faults] :
+       {std::pair{Op::kCreate, true}, std::pair{Op::kCreate, false},
+        std::pair{Op::kTick, false}, std::pair{Op::kStatus, false},
+        std::pair{Op::kEvict, false}, std::pair{Op::kSweep, true},
+        std::pair{Op::kShutdown, false}}) {
+    Request r;
+    r.op = op;
+    r.seq = 8;
+    if (op != Op::kShutdown) r.tenant = "t-3";
+    if (op == Op::kCreate || op == Op::kSweep) {
+      r.config.n_hosts = 11;
+      r.config.rule_set = RuleSet::kEL2;
+      r.seed = 9007199254740991u;
+      r.trials = 3;
+    }
+    if (with_faults) {
+      r.faults.seed = 4;
+      r.faults.crashes.push_back({.node = 5, .at = 2});
+      r.has_faults = true;
+    }
+    if (op == Op::kTick) r.intervals = 9;
+    const std::string line = write_request(r);
+    const auto back = parse_request(line, 8, error);
+    ASSERT_TRUE(back.has_value()) << line << ": " << error.message;
+    EXPECT_EQ(back->op, r.op) << line;
+    EXPECT_EQ(back->seq, r.seq) << line;
+    EXPECT_EQ(back->tenant, r.tenant) << line;
+    EXPECT_EQ(wire(back->config), wire(r.config)) << line;
+    EXPECT_EQ(back->seed, r.seed) << line;
+    EXPECT_EQ(back->trials, r.trials) << line;
+    EXPECT_EQ(wire(back->faults), wire(r.faults)) << line;
+    EXPECT_EQ(back->has_faults, r.has_faults) << line;
+    EXPECT_EQ(back->intervals, r.intervals) << line;
+  }
 }
 
 // Seeds ride the wire as doubles, so the request seed takes the plan
