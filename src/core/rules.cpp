@@ -28,33 +28,10 @@ void marked_neighbors(const Graph& g, const DynBitset& marked, NodeId v,
   }
 }
 
-/// Dense-row variant: N(v) ∧ marked word by word, iterating set bits. Same
-/// candidate SET as marked_neighbors, in ascending id order — the pair
-/// decision is existential over unordered pairs, so order is immaterial.
-void marked_neighbors_dense(const DynBitset& row, const DynBitset& marked,
-                            std::vector<NodeId>& out) {
-  out.clear();
-  const auto& rw = row.words();
-  const auto& mw = marked.words();
-  const std::size_t n = std::min(rw.size(), mw.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    simd::Word w = rw[i] & mw[i];
-    while (w != 0) {
-      out.push_back(static_cast<NodeId>(
-          i * 64 + static_cast<std::size_t>(std::countr_zero(w))));
-      w &= w - 1;
-    }
-  }
-}
-
 // ---- Dense fast path -----------------------------------------------------
-// With cached DynBitset rows available (DenseAdjacency, small n), the pair
-// loop runs through the blocked engine (rule2_blocked.hpp): residuals
-// N(v) \ N(u) are built once per candidate in L1-sized blocks and every
-// coverage row is streamed once per block instead of once per pair, with
-// all word traffic going through the core/simd word primitives. On unit-disk
-// instances most candidate pairs still die on the popcount-vs-degree gate
-// or the first residual word.
+// With cached DynBitset rows available (DenseAdjacency, n <= 4096), the
+// coverage tests run word by word on the rows through the core/simd
+// primitives instead of merging sorted neighbor lists.
 
 /// Dense-row twin of rule1_would_unmark (v already known marked). With
 /// u ∈ N(v), N[v] ⊆ N[u] reduces to N(v) \ {u} ⊆ N(u).
@@ -72,48 +49,28 @@ bool rule1_dense_would_unmark(const Graph& g, const DenseAdjacency& dense,
   return false;
 }
 
-/// Blocked-engine geometry over the dense full-graph rows: candidates are
-/// the marked neighbors of v (global ids in `scratch`).
-struct DenseRule2Env {
-  const Graph& g;
-  const DenseAdjacency& dense;
-  const PriorityKey& key;
-  NodeId v;
-  const std::vector<NodeId>& cands;
-
-  [[nodiscard]] const simd::Word* vrow() const {
-    return dense.row(v).words().data();
-  }
-  [[nodiscard]] const simd::Word* row(std::size_t i) const {
-    return dense.row(cands[i]).words().data();
-  }
-  [[nodiscard]] std::size_t degree(std::size_t i) const {
-    return static_cast<std::size_t>(g.degree(cands[i]));
-  }
-  [[nodiscard]] bool min3(std::size_t i, std::size_t j) const {
-    return key.is_min_of_three(v, cands[i], cands[j]);
-  }
-  [[nodiscard]] bool refined_cases(std::size_t i, std::size_t j, bool cov_u,
-                                   bool cov_w) const {
-    return rule2_refined_cases(key, v, cands[i], cands[j], cov_u, cov_w);
-  }
-};
-
-/// Dense-row twin of rule2_would_unmark (v already known marked).
-/// Decision-identical to the merge-based predicate: the pair decision is
-/// existential, and each pair sees the same coverage tests and refined case
-/// analysis.
-bool rule2_dense_would_unmark(const Graph& g, const DenseAdjacency& dense,
+/// Dense-row twin of rule2_would_unmark (v already known marked). The
+/// candidates are v's marked neighbors in ascending id order, read as
+/// N(v) ∧ marked word by word; the pair decision is existential, so the
+/// order is immaterial.
+bool rule2_dense_would_unmark(const DenseAdjacency& dense,
                               const DynBitset& marked, const PriorityKey& key,
                               Rule2Form form, NodeId v,
-                              std::vector<NodeId>& scratch,
-                              CdsWorkspace::Rule2Lane& lane) {
-  marked_neighbors_dense(dense.row(v), marked, scratch);
-  if (scratch.size() < 2) return false;
-  const DenseRule2Env env{g, dense, key, v, scratch};
-  return rule2_blocked_fires(env, scratch.size(),
-                             dense.row(v).words().size(),
-                             form == Rule2Form::kSimple, lane);
+                              std::vector<Rule2Candidate>& cands) {
+  const DynBitset& row = dense.row(v);
+  const auto& rw = row.words();
+  const auto& mw = marked.words();
+  cands.clear();
+  for (std::size_t i = 0; i < rw.size(); ++i) {
+    simd::Word w = rw[i] & mw[i];
+    while (w != 0) {
+      const auto c = static_cast<NodeId>(
+          i * 64 + static_cast<std::size_t>(std::countr_zero(w)));
+      cands.push_back({c, dense.row(c).words().data()});
+      w &= w - 1;
+    }
+  }
+  return rule2_dense_fires(key, form, v, row, cands);
 }
 
 /// Syncs the workspace dense cache against `g` and returns it when usable
@@ -173,18 +130,18 @@ void apply_sequential(const Graph& g, const PriorityKey& key,
     });
     return;
   }
-  std::vector<NodeId>& scratch = ws.lane_neighbors[0];
-  CdsWorkspace::Rule2Lane& resid = ws.lane_residuals[0];
   const bool rule1 = config.use_rule1;
   const bool rule2 = config.use_rule2;
   const Rule2Form form = config.rule2_form;
   if (dense != nullptr) {
+    std::vector<Rule2Candidate>& cands = ws.lane_candidates[0];
     sweep(g, ws.order, verified, marked, [&](NodeId v) {
       return (rule1 && rule1_dense_would_unmark(g, *dense, marked, key, v)) ||
-             (rule2 && rule2_dense_would_unmark(g, *dense, marked, key, form,
-                                                v, scratch, resid));
+             (rule2 &&
+              rule2_dense_would_unmark(*dense, marked, key, form, v, cands));
     });
   } else {
+    std::vector<NodeId>& scratch = ws.lane_neighbors[0];
     sweep(g, ws.order, verified, marked, [&](NodeId v) {
       return (rule1 && rule1_would_unmark(g, marked, key, v)) ||
              (rule2 && rule2_would_unmark(g, marked, key, form, v, scratch));
@@ -202,8 +159,8 @@ CdsWorkspace& convenience_workspace() {
   return ws;
 }
 
-}  // namespace
-
+/// The refined Rule 2 case analysis for one pair (u, w) of marked neighbors
+/// covering v (cov_u: N(u) ⊆ N(v) ∪ N(w), cov_w symmetric).
 /// Case 1: neither competitor covered -> v yields unconditionally.
 /// Case 2: exactly one covered        -> v yields iff it loses to that one.
 /// Case 3: both covered               -> v yields iff strict key-min.
@@ -214,6 +171,8 @@ bool rule2_refined_cases(const PriorityKey& key, NodeId v, NodeId u, NodeId w,
   if (cov_w && !cov_u) return key.less(v, w);
   return key.less(v, u) && key.less(v, w);
 }
+
+}  // namespace
 
 bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
                         const PriorityKey& key, Rule2Form form, NodeId v,
@@ -244,6 +203,29 @@ bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
                         const PriorityKey& key, Rule2Form form, NodeId v) {
   std::vector<NodeId> scratch;
   return rule2_would_unmark(g, marked, key, form, v, scratch);
+}
+
+bool rule2_dense_fires(const PriorityKey& key, Rule2Form form, NodeId v,
+                       const DynBitset& vrow,
+                       std::span<const Rule2Candidate> cands) {
+  const simd::Word* rv = vrow.words().data();
+  const std::size_t nwords = vrow.words().size();
+  const bool simple = form == Rule2Form::kSimple;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Rule2Candidate& u = cands[i];
+    for (std::size_t j = i + 1; j < cands.size(); ++j) {
+      const Rule2Candidate& w = cands[j];
+      if (!simd::is_subset_union(rv, u.row, w.row, nwords)) continue;
+      if (simple ? key.is_min_of_three(v, u.id, w.id)
+                 : rule2_refined_cases(
+                       key, v, u.id, w.id,
+                       simd::is_subset_union(u.row, rv, w.row, nwords),
+                       simd::is_subset_union(w.row, u.row, rv, nwords))) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,
@@ -353,9 +335,8 @@ void simultaneous_rule2_pass_into(const Graph& g, const PriorityKey& key,
   const DenseAdjacency* dense = synced_dense(ctx.workspace, g);
   if (dense != nullptr) {
     sharded_pass(marked, ctx.executor, next, [&](NodeId v, std::size_t lane) {
-      return rule2_dense_would_unmark(g, *dense, marked, key, form, v,
-                                      ws.lane_neighbors[lane],
-                                      ws.lane_residuals[lane]);
+      return rule2_dense_would_unmark(*dense, marked, key, form, v,
+                                      ws.lane_candidates[lane]);
     });
   } else {
     sharded_pass(marked, ctx.executor, next, [&](NodeId v, std::size_t lane) {

@@ -30,6 +30,7 @@
 // bench/extension_rule_k measures.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,12 +106,13 @@ struct RuleConfig {
 [[nodiscard]] bool rule1_would_unmark(const Graph& g, const DynBitset& marked,
                                       const PriorityKey& key, NodeId v);
 
-/// The refined Rule 2 case analysis for one ordered pair (u, w) of marked
-/// neighbors covering v (cov_u: N(u) ⊆ N(v) ∪ N(w), cov_w symmetric).
-/// Exposed so the tiled kernels share the exact decision table.
-[[nodiscard]] bool rule2_refined_cases(const PriorityKey& key, NodeId v,
-                                       NodeId u, NodeId w, bool cov_u,
-                                       bool cov_w);
+/// Rule 2 in either form over dense rows, shared by the flat passes and
+/// the tile kernels: true iff some pair of v's marked neighbors `cands`
+/// covers `vrow` = N(v) and passes the form's key test. Each pair sees the
+/// same booleans as rule2_would_unmark's merges.
+[[nodiscard]] bool rule2_dense_fires(const PriorityKey& key, Rule2Form form,
+                                     NodeId v, const DynBitset& vrow,
+                                     std::span<const Rule2Candidate> cands);
 
 /// Rule 2 in either form. `scratch` receives v's marked neighbors (contents
 /// clobbered), so per-node evaluation in hot loops allocates nothing; the

@@ -1,10 +1,9 @@
 #pragma once
 // Word-row primitives for the 64-bit rows every coverage test in the
 // pipeline runs over: AND/AND-NOT/OR/XOR combines, subset and
-// subset-of-union tests, popcounts and the batched subset_rows of the
-// blocked Rule 2 engine. DynBitset and the dense rule kernels call them
-// directly; each is a plain inline loop, so the compiler sees the row
-// width at the call site.
+// subset-of-union tests and popcounts. DynBitset and the dense Rule 2 pair
+// test call them directly; each is a plain inline loop, so the compiler
+// sees the row width at the call site.
 //
 // One scalar path serves every build. A dense row holds one bit per host,
 // and the graphs the marking process and Rules 1/2 scan in the paper's
@@ -110,33 +109,6 @@ inline void xor_inplace(Word* dst, const Word* src, std::size_t nwords) {
     if (a[i] != 0) return false;
   }
   return true;
-}
-
-/// dst[i] = a[i] & ~b[i]; returns Σ popcount(dst[i]). The Rule 2 residual
-/// builder (N(v) \ N(u)) fused with the popcount-vs-degree gate's input.
-inline std::size_t andnot_into(Word* dst, const Word* a, const Word* b,
-                               std::size_t nwords) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nwords; ++i) {
-    const Word w = a[i] & ~b[i];
-    dst[i] = w;
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
-  return total;
-}
-
-/// Bit r of the result is set iff row r of `rows` (rows + r*nwords,
-/// nwords words) is a subset of b. nrows <= 64. The blocked Rule 2
-/// engine's batch test: one call per streamed coverage row.
-[[nodiscard]] inline std::uint64_t subset_rows(const Word* rows,
-                                               std::size_t nrows,
-                                               std::size_t nwords,
-                                               const Word* b) {
-  std::uint64_t out = 0;
-  for (std::size_t r = 0; r < nrows; ++r) {
-    if (is_subset(rows + r * nwords, b, nwords)) out |= std::uint64_t{1} << r;
-  }
-  return out;
 }
 
 }  // namespace pacds::simd

@@ -193,43 +193,10 @@ void tile_rule1_stage(const PriorityKey& key, const DynBitset& marked,
   }
 }
 
-namespace {
-
-/// Blocked-engine geometry over one tile's local dense rows: candidates are
-/// local indices (tl.scratch); keys compare global ids. Candidate rows are
-/// complete (candidates sit within r of the tile rectangle — see the
-/// locality contract above), so the local row popcount equals the global
-/// degree and the popcount-vs-degree gate stays sound.
-struct TileRule2Env {
-  const TileLocal& tl;
-  const PriorityKey& key;
-  NodeId v;
-  const DynBitset& vrow_bits;
-
-  [[nodiscard]] const simd::Word* vrow() const {
-    return vrow_bits.words().data();
-  }
-  [[nodiscard]] const simd::Word* row(std::size_t i) const {
-    return tl.rows[tl.scratch[i]].words().data();
-  }
-  [[nodiscard]] std::size_t degree(std::size_t i) const {
-    return tl.rows[tl.scratch[i]].count();
-  }
-  [[nodiscard]] bool min3(std::size_t i, std::size_t j) const {
-    return key.is_min_of_three(v, tl.locals[tl.scratch[i]],
-                               tl.locals[tl.scratch[j]]);
-  }
-  [[nodiscard]] bool refined_cases(std::size_t i, std::size_t j, bool cov_u,
-                                   bool cov_w) const {
-    return rule2_refined_cases(key, v, tl.locals[tl.scratch[i]],
-                               tl.locals[tl.scratch[j]], cov_u, cov_w);
-  }
-};
-
-}  // namespace
-
 void tile_rule2_stage(const PriorityKey& key, bool form_simple,
                       const DynBitset& in, TileLocal& tl) {
+  const Rule2Form form =
+      form_simple ? Rule2Form::kSimple : Rule2Form::kRefined;
   const std::size_t count = tl.locals.size();
   tl.out.resize_clear(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -239,18 +206,14 @@ void tile_rule2_stage(const PriorityKey& key, bool form_simple,
     const DynBitset& row = tl.rows[i];
     tl.scratch.clear();
     for (std::size_t u = row.find_first(); u < count; u = row.find_next(u)) {
-      if (in.test(static_cast<std::size_t>(tl.locals[u]))) {
-        tl.scratch.push_back(static_cast<std::uint32_t>(u));
+      const NodeId gu = tl.locals[u];
+      if (in.test(static_cast<std::size_t>(gu))) {
+        tl.scratch.push_back({gu, tl.rows[u].words().data()});
       }
     }
-    // Coverage booleans are the same as the old per-pair union tests
-    // (r ⊆ N(u) ∪ N(w) ⟺ r \ N(u) ⊆ N(w)), and the pair decision is
-    // existential, so the blocked engine is decision-identical.
-    const TileRule2Env env{tl, key, v, row};
-    if (!rule2_blocked_fires(env, tl.scratch.size(), row.words().size(),
-                             form_simple, tl.rule2_lane)) {
-      tl.out.set(i);
-    }
+    // Candidate rows are complete (candidates sit within r of the tile
+    // rectangle), so the local test decides as the flat one does.
+    if (!rule2_dense_fires(key, form, v, row, tl.scratch)) tl.out.set(i);
   }
 }
 

@@ -39,7 +39,7 @@
 #include "core/bitset.hpp"
 #include "core/graph.hpp"
 #include "core/keys.hpp"
-#include "core/rule2_blocked.hpp"
+#include "core/workspace.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -108,11 +108,8 @@ struct TileLocal {
   std::vector<DynBitset> rows;
   /// Stage output: decision bit per *owned* local index (halo bits unused).
   DynBitset out;
-  /// Marked-neighbor pair-loop buffer (local indices).
-  std::vector<std::uint32_t> scratch;
-  /// Blocked Rule 2 residual scratch (rule2_blocked.hpp), persistent so
-  /// steady-state tile rebuilds allocate nothing.
-  Rule2BlockLane rule2_lane;
+  /// Rule 2 candidate buffer (marked neighbors with their local rows).
+  std::vector<Rule2Candidate> scratch;
 };
 
 /// Per-executor-lane global→local translation used while building rows.
@@ -142,7 +139,9 @@ void tile_rule1_stage(const PriorityKey& key, const DynBitset& marked,
                       TileLocal& tl);
 
 /// Rule 2 (either form): out bit = in(v) && !rule2_would_unmark(v) against
-/// the post-Rule-1 set `in`. `form_simple` selects the min-of-three form.
+/// the post-Rule-1 set `in`, decided by rule2_dense_fires on the local rows
+/// as the flat dense passes decide it. `form_simple` selects the
+/// min-of-three form.
 void tile_rule2_stage(const PriorityKey& key, bool form_simple,
                       const DynBitset& in, TileLocal& tl);
 

@@ -2,7 +2,7 @@
 // Reusable scratch state for the CDS pipeline. One CdsWorkspace owned by a
 // long-lived engine turns every steady-state recomputation into a
 // zero-heap-allocation operation: stage double-buffers and the per-lane
-// marked-neighbor buffers are sized once on first use and only touched
+// candidate buffers are sized once on first use and only touched
 // (never reallocated) afterwards. The per-lane vectors pair with
 // Executor::run_chunks lane indices — concurrent chunks get distinct lanes,
 // so lock-free indexed access is safe.
@@ -15,7 +15,7 @@
 #include "core/dense.hpp"
 #include "core/graph.hpp"
 #include "core/parallel.hpp"
-#include "core/rule2_blocked.hpp"
+#include "core/simd.hpp"
 
 namespace pacds {
 
@@ -32,19 +32,21 @@ struct RuleKLane {
   DynBitset cover;
 };
 
+/// One candidate cover c of v in the dense Rule 2 pair test: its id (for
+/// the key) and its open-neighborhood row N(c), as wide as N(v)'s.
+struct Rule2Candidate {
+  NodeId id;
+  const simd::Word* row;
+};
+
 /// Scratch buffers threaded through compute_cds / apply_rules /
 /// IncrementalCds. Contents are clobbered by every pipeline call; only
 /// capacity persists.
 struct CdsWorkspace {
-  /// Per-lane scratch of the blocked Rule 2 pair engine: a block of
-  /// residuals N(v) \ N(u) plus the refined form's lazily-built reverse
-  /// residuals (see rule2_blocked.hpp).
-  using Rule2Lane = Rule2BlockLane;
-
-  /// Per-executor-lane Rule 2 marked-neighbor buffers.
+  /// Per-executor-lane Rule 2 marked-neighbor buffers (merge predicates).
   std::vector<std::vector<NodeId>> lane_neighbors;
-  /// Per-executor-lane residual word buffers (dense Rule 2 fast path).
-  std::vector<Rule2Lane> lane_residuals;
+  /// Per-executor-lane Rule 2 candidate buffers (dense rows).
+  std::vector<std::vector<Rule2Candidate>> lane_candidates;
   /// Per-executor-lane Rule k scratch.
   std::vector<RuleKLane> lane_rule_k;
   /// Double buffer for simultaneous passes (next mark set under
@@ -60,7 +62,7 @@ struct CdsWorkspace {
   /// Allocation-free once warm.
   void reserve_lanes(std::size_t lanes) {
     if (lane_neighbors.size() < lanes) lane_neighbors.resize(lanes);
-    if (lane_residuals.size() < lanes) lane_residuals.resize(lanes);
+    if (lane_candidates.size() < lanes) lane_candidates.resize(lanes);
     if (lane_rule_k.size() < lanes) lane_rule_k.resize(lanes);
   }
 };

@@ -237,60 +237,6 @@ TEST(SimdKernelTest, IsSubsetExceptAtEveryExcusedWord) {
   }
 }
 
-TEST(SimdKernelTest, AndnotIntoMatchesReference) {
-  std::mt19937_64 rng(0xABCDu);
-  for (const std::size_t bits : kWidths) {
-    const std::size_t nwords = words_for(bits);
-    for (int trial = 0; trial < 4 * kDensities; ++trial) {
-      const Row a = random_row(rng, nwords, trial % kDensities);
-      Row b = random_row(rng, nwords, trial % 2);
-      if (trial % 3 == 0) b = with_bits_of(b, a);  // empty residual
-      if (trial % 3 == 1 && nwords > 0) {
-        // Exactly one uncovered bit, at a random position.
-        b = with_bits_of(b, a);
-        const std::size_t k = rng() % nbits(a);
-        if (bit(a, k)) b[k / 64] &= ~(Word{1} << (k % 64));
-      }
-      const Row want =
-          ref_combine(a, b, [](bool x, bool y) { return x && !y; });
-      Row got(nwords, Word{0x55});  // sentinel fill, fully overwritten
-      EXPECT_EQ(simd::andnot_into(got.data(), a.data(), b.data(), nwords),
-                ref_popcount(want))
-          << "nwords=" << nwords;
-      EXPECT_EQ(got, want) << "nwords=" << nwords;
-    }
-  }
-}
-
-TEST(SimdKernelTest, SubsetRowsMatchesReference) {
-  std::mt19937_64 rng(0xF00Du);
-  for (const std::size_t bits : kWidths) {
-    const std::size_t nwords = words_for(bits);
-    for (std::size_t nrows = 1; nrows <= 64; ++nrows) {
-      const Row b = random_row(rng, nwords, static_cast<int>(nrows % 2));
-      std::vector<Word> rows;
-      std::uint64_t want = 0;
-      for (std::size_t r = 0; r < nrows; ++r) {
-        // Mix forced-subset rows (masked down to b) with free random rows
-        // so both mask polarities appear in every batch.
-        Row row = random_row(rng, nwords, static_cast<int>(r % kDensities));
-        if (r % 2 == 0) {
-          row = ref_combine(row, b, [](bool x, bool y) { return x && y; });
-        }
-        if (ref_subset(row, b)) want |= std::uint64_t{1} << r;
-        rows.insert(rows.end(), row.begin(), row.end());
-      }
-      EXPECT_EQ(simd::subset_rows(rows.data(), nrows, nwords, b.data()), want)
-          << "nwords=" << nwords << " nrows=" << nrows;
-      if (nwords == 0) {
-        // Every empty row is vacuously a subset.
-        EXPECT_EQ(want, nrows == 64 ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << nrows) - 1);
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, DynBitsetOpsMatchReference) {
   // The same operations one level up, through DynBitset's glue (size
   // checks, excused-bit index split, padding).
