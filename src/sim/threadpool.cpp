@@ -1,6 +1,7 @@
 #include "sim/threadpool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace pacds {
 
@@ -17,18 +18,27 @@ struct BulkState {
   std::mutex mutex;
   std::condition_variable done;
   std::size_t active_helpers = 0;
+  std::exception_ptr error;  ///< first exception a chunk threw (mutex)
 
   explicit BulkState(ChunkFnRef b) : body(b) {}
 };
 
 /// Claims chunks until the range is exhausted. `lane` is stable for the
 /// whole drain, so chunk bodies may use it to index scratch without locks.
+/// A chunk that throws ends every claimant's drain: its exception is kept
+/// for the caller and the unclaimed chunks never run.
 void drain_bulk(BulkState& state, std::size_t lane) {
-  while (true) {
-    const std::size_t begin =
-        state.next.fetch_add(state.chunk, std::memory_order_relaxed);
-    if (begin >= state.count) return;
-    state.body(begin, std::min(begin + state.chunk, state.count), lane);
+  try {
+    while (true) {
+      const std::size_t begin =
+          state.next.fetch_add(state.chunk, std::memory_order_relaxed);
+      if (begin >= state.count) return;
+      state.body(begin, std::min(begin + state.chunk, state.count), lane);
+    }
+  } catch (...) {
+    state.next.store(state.count, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(state.mutex);
+    if (!state.error) state.error = std::current_exception();
   }
 }
 
@@ -107,6 +117,7 @@ void ThreadPool::bulk_run(std::size_t count, std::size_t chunk,
   drain_bulk(state, 0);
   std::unique_lock<std::mutex> lock(state.mutex);
   state.done.wait(lock, [&state] { return state.active_helpers == 0; });
+  if (state.error) std::rethrow_exception(state.error);
 }
 
 void ThreadPool::run_chunks(std::size_t count, std::size_t align,

@@ -43,7 +43,8 @@ class ThreadPool final : public Executor {
   }
 
   /// Enqueues a task. Tasks must not throw (they run detached from any
-  /// future); wrap fallible work yourself.
+  /// future); wrap fallible work yourself. parallel_for and run_chunks
+  /// bodies may throw: see run_chunks.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
@@ -73,7 +74,9 @@ class ThreadPool final : public Executor {
   /// (targeting a few chunks per lane), chunks are claimed off an atomic
   /// counter by up to thread_count() helper tasks plus the calling thread,
   /// and each concurrent claimant holds a distinct lane id. Returns after
-  /// every chunk ran.
+  /// every chunk ran. If a body throws, no further chunk is claimed, every
+  /// helper finishes its current chunk, and the first exception is
+  /// rethrown here; the pool stays usable.
   void run_chunks(std::size_t count, std::size_t align,
                   ChunkFnRef body) override;
 

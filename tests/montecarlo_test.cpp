@@ -10,6 +10,7 @@
 #include <string>
 
 #include "io/json_parse.hpp"
+#include "sim/faults.hpp"
 
 namespace pacds {
 namespace {
@@ -46,6 +47,33 @@ TEST(MonteCarloTest, RefusedConfigThrowsOnTheCallingThread) {
   ThreadPool pool(2);
   EXPECT_THROW((void)run_lifetime_trials(config, 4, 1, &pool),
                std::invalid_argument);
+}
+
+TEST(MonteCarloTest, TrialExceptionUnderAPoolReachesTheCaller) {
+  // The fault plan is checked inside each trial. Under a pool the trials
+  // run on workers and on the calling thread, and every one of them throws;
+  // the caller must see the serial run's exception, and the pool must
+  // stay usable.
+  SimConfig config = tiny_config();
+  config.n_hosts = 10;
+  FaultPlan plan;
+  plan.crashes.push_back(CrashSpec{.node = 99, .at = 1});
+  const std::string message = "fault plan: crash node 99 out of range [0, 10)";
+  const auto expect_message = [&](ThreadPool* pool) {
+    try {
+      (void)run_lifetime_trials(config, 8, 1, pool, nullptr, &plan);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+  };
+  expect_message(nullptr);
+  ThreadPool pool(2);
+  expect_message(&pool);
+  expect_message(&pool);
+  const LifetimeSummary pooled = run_lifetime_trials(tiny_config(), 4, 5,
+                                                     &pool);
+  EXPECT_EQ(pooled.intervals.count, 4u);
 }
 
 TEST(MonteCarloTest, TrialConfigForcesSerialIntervalsUnderPool) {

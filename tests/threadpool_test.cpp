@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace pacds {
@@ -125,6 +126,56 @@ TEST(ThreadPoolTest, RunChunksZeroCount) {
   auto body = [](std::size_t, std::size_t, std::size_t) { FAIL(); };
   pool.run_chunks(0, 64, body);
   SUCCEED();
+}
+
+TEST(ThreadPoolTest, ParallelForBodyExceptionReachesTheCaller) {
+  // A throw on a helper or on the calling thread alike comes back out of
+  // parallel_for, after every helper has left the call's state, and the
+  // pool takes the next call as if nothing happened.
+  ThreadPool pool(2);
+  for (const std::size_t bad : {std::size_t{0}, std::size_t{37}}) {
+    EXPECT_THROW(pool.parallel_for(100,
+                                   [bad](std::size_t i) {
+                                     if (i == bad) {
+                                       throw std::runtime_error("index");
+                                     }
+                                   }),
+                 std::runtime_error);
+  }
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [](std::size_t) {
+                                   throw std::invalid_argument("every index");
+                                 }),
+               std::invalid_argument);
+  std::vector<std::atomic<int>> hits(100);
+  pool.parallel_for(100, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, RunChunksBodyExceptionReachesTheCaller) {
+  ThreadPool pool(2);
+  std::atomic<std::size_t> ran{0};
+  auto body = [&ran](std::size_t begin, std::size_t end, std::size_t) {
+    ran.fetch_add(end - begin);
+    if (begin <= 500 && 500 < end) throw std::runtime_error("chunk");
+  };
+  try {
+    pool.run_chunks(1000, 8, body);
+    ADD_FAILURE() << "run_chunks returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk");
+  }
+  EXPECT_LE(ran.load(), 1000u);
+  std::vector<std::atomic<int>> hits(1000);
+  auto count_hits = [&hits](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  };
+  pool.run_chunks(1000, 8, count_hits);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, SerialExecutorRunsInline) {
