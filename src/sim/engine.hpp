@@ -8,10 +8,11 @@
 //     strategies, custom keys, or non-unit-disk link models).
 //
 //   IncrementalEngine — keeps one persistent Graph and an IncrementalCds
-//     across intervals. Moved hosts are detected by position diff, re-filed
-//     in a SpatialGrid, and their changed links extracted as an EdgeDelta;
-//     the delta plus the quantized-energy diff drive one localized
-//     IncrementalCds::advance. Steady-state intervals are allocation-free.
+//     across intervals. Its MovingLinks front end (shared with TiledEngine)
+//     detects moved hosts by position diff, re-files them in a SpatialGrid
+//     and extracts their changed links as an EdgeDelta; the delta plus the
+//     quantized-energy diff drive one localized IncrementalCds::advance.
+//     Steady-state intervals are allocation-free.
 //
 // Wherever the incremental engine is eligible the two are bit-identical —
 // same gateway bitsets, same counts, hence byte-for-byte equal TrialResults
@@ -20,6 +21,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -180,7 +182,66 @@ class FullRebuildEngine final : public LifetimeEngine {
   CdsWorkspace workspace_;
 };
 
-/// Persistent-state fast path: spatial-grid edge deltas + IncrementalCds.
+/// The moving-link front end of the incremental and tiled engines: turns
+/// each interval's positions into links, and from the second interval on
+/// into the edge delta against the last interval's graph. Serves only
+/// unit-disk link models (the engines' eligibility), with the config's radio
+/// vetoing pairs. Not copyable: its grid points into its own positions.
+class MovingLinks {
+ public:
+  /// One host that moved in the last advance, with its old position.
+  struct Move {
+    NodeId host;
+    Vec2 from;
+  };
+
+  explicit MovingLinks(const SimConfig& config);
+  MovingLinks(const MovingLinks&) = delete;
+  MovingLinks& operator=(const MovingLinks&) = delete;
+
+  /// First interval: builds `out` from `positions`, files every host in the
+  /// grid, and commits the tracker once on zero counts. With no link
+  /// history every host stays maximally stable, and the EWMA keeps the full
+  /// rebuild's cadence of one commit per update.
+  void reset(const std::vector<Vec2>& positions, Graph& out);
+
+  /// Later intervals: finds the hosts whose position changed, re-files
+  /// them, and sets delta() to the symmetric difference between `last` (the
+  /// previous interval's links) and the links at `positions`. Adds the
+  /// delta's sizes to `metrics` (null: none), and counts both endpoints of
+  /// every delta pair into the tracker before committing it, which matches
+  /// the full rebuild's row-diff counts.
+  void advance(const std::vector<Vec2>& positions, const Graph& last,
+               obs::MetricsRegistry* metrics);
+
+  [[nodiscard]] const EdgeDelta& delta() const noexcept { return delta_; }
+  /// The movers of the last advance, in ascending host order.
+  [[nodiscard]] std::span<const Move> moves() const noexcept {
+    return moves_;
+  }
+  /// The SEL churn tracker; null when the config's key reads no stability.
+  [[nodiscard]] const StabilityTracker* tracker() const noexcept {
+    return tracker_ ? &*tracker_ : nullptr;
+  }
+
+ private:
+  SimConfig config_;
+  /// The grid indexes this copy of the last positions.
+  std::vector<Vec2> positions_;
+  std::optional<SpatialGrid> grid_;
+  /// Per-pair channel veto over the grid's unit-disk candidates (engaged
+  /// when config.radio != unit-disk). The pair hash makes the predicate
+  /// re-evaluable edge by edge, which is what delta extraction needs.
+  std::optional<RadioModel> radio_;
+  std::optional<StabilityTracker> tracker_;
+  // Steady-state scratch — reused, never reallocated after warm-up.
+  EdgeDelta delta_;
+  std::vector<Move> moves_;
+  std::vector<NodeId> nbrs_;
+  DynBitset moved_;
+};
+
+/// Persistent-state fast path: MovingLinks edge deltas + IncrementalCds.
 /// The config must be eligible (see incremental_engine_eligible);
 /// make_lifetime_engine checks it through validate_sim_config.
 class IncrementalEngine final : public LifetimeEngine {
@@ -207,33 +268,14 @@ class IncrementalEngine final : public LifetimeEngine {
   void on_set_metrics() override {
     if (cds_) cds_->set_metrics(metrics_);
   }
-  void initialize(const std::vector<Vec2>& positions,
-                  const std::vector<double>& keys);
-  void extract_delta(const std::vector<Vec2>& positions);
 
   SimConfig config_;
-  /// The grid indexes this copy (it holds a pointer into it), so the engine
-  /// owns the previous interval's positions and must not move them.
-  std::vector<Vec2> prev_positions_;
-  std::optional<SpatialGrid> grid_;
-  /// Per-pair channel veto over the grid's unit-disk candidates (engaged
-  /// when config.radio != unit-disk) — the deterministic pair hash makes
-  /// the predicate re-evaluable edge by edge, which is exactly what delta
-  /// extraction needs.
-  std::optional<RadioModel> radio_;
-  /// Per-host churn EWMA feeding the SEL key; fed with both endpoints of
-  /// every delta edge (== the full-rebuild engine's row-diff counts).
-  std::optional<StabilityTracker> tracker_;
+  MovingLinks links_;
   /// Intra-interval pool (config.threads != 1) + reusable pass scratch;
   /// declared before cds_, which borrows both for its lifetime.
   std::optional<ThreadPool> pool_;
   CdsWorkspace workspace_;
   std::optional<IncrementalCds> cds_;
-  // Steady-state scratch — reused, never reallocated after warm-up.
-  EdgeDelta delta_;
-  std::vector<NodeId> movers_;
-  std::vector<NodeId> nbrs_;
-  DynBitset moved_;
   std::vector<double> key_scratch_;
 };
 
