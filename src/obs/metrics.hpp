@@ -25,7 +25,7 @@ enum class Phase : std::uint8_t {
   kLinkBuild,     ///< unit-disk link construction (grid build / rebuild)
   kMarking,       ///< Wu-Li marking process
   kRules,         ///< Rule 1/2 (+ clique policy) pruning passes
-  kDeltaExtract,  ///< position diff -> EdgeDelta (incremental engine)
+  kDeltaExtract,  ///< position diff -> EdgeDelta (incremental, tiled)
   kDeltaApply,    ///< localized 4-hop re-evaluation of a delta
   kFaultApply,    ///< fault-plan evaluation + injection (degraded mode)
   kCount_,
