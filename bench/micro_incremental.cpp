@@ -38,7 +38,7 @@ void BM_IncrementalDelta(benchmark::State& state) {
     } else {
       delta.added.emplace_back(u, v);
     }
-    inc.apply_delta(delta);
+    inc.advance(delta, {});
     present = !present;
     benchmark::DoNotOptimize(inc.gateways());
   }

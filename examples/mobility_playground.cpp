@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
         if (!after && before) delta.removed.emplace_back(u, v);
       }
     }
-    cds.apply_delta(delta);
+    cds.advance(delta, {});
   }
   return 0;
 }

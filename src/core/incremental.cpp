@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -9,13 +8,13 @@
 namespace pacds {
 
 IncrementalCds::IncrementalCds(Graph g, RuleSet rs, std::vector<double> energy,
-                               CdsOptions options, ExecContext exec,
+                               CliquePolicy clique_policy, ExecContext exec,
                                std::vector<double> stability)
     : graph_(std::move(g)),
       rule_set_(rs),
       energy_(std::move(energy)),
       stability_(std::move(stability)),
-      options_(options),
+      clique_policy_(clique_policy),
       exec_(exec),
       marked_only_(static_cast<std::size_t>(graph_.num_nodes())),
       after_rule1_(static_cast<std::size_t>(graph_.num_nodes())),
@@ -27,9 +26,6 @@ IncrementalCds::IncrementalCds(Graph g, RuleSet rs, std::vector<double> energy,
       seed_(static_cast<std::size_t>(graph_.num_nodes())),
       touched_(static_cast<std::size_t>(graph_.num_nodes())),
       grow_src_(static_cast<std::size_t>(graph_.num_nodes())) {
-  // Localized maintenance only works for the synchronous semantics; pin it
-  // regardless of what the caller's options say.
-  options_.strategy = Strategy::kSimultaneous;
   if (uses_energy(rule_set_) &&
       energy_.size() != static_cast<std::size_t>(graph_.num_nodes())) {
     throw std::invalid_argument(
@@ -130,7 +126,7 @@ void IncrementalCds::propagate() {
   }
   // The clique policy is component-global but O(n); reapply it wholesale.
   gateways_ = final_;
-  apply_clique_policy(graph_, key, options_.clique_policy, gateways_);
+  apply_clique_policy(graph_, key, clique_policy_, gateways_);
   last_touched_ = touched_.count();
   if (exec_.metrics != nullptr) {
     exec_.metrics->add(obs::Counter::kLocalizedUpdates);
@@ -168,7 +164,7 @@ void IncrementalCds::full_refresh() {
                                    after_rule1_, pass_ctx, final_);
     }
     gateways_ = final_;
-    apply_clique_policy(graph_, key, options_.clique_policy, gateways_);
+    apply_clique_policy(graph_, key, clique_policy_, gateways_);
   }
   last_touched_ = static_cast<std::size_t>(graph_.num_nodes());
   if (exec_.metrics != nullptr) {
@@ -182,7 +178,7 @@ void IncrementalCds::full_refresh() {
 void IncrementalCds::ingest_delta(const EdgeDelta& delta) {
   for (const auto& [u, v] : delta.added) {
     if (!graph_.add_edge(u, v)) {
-      throw std::invalid_argument("IncrementalCds::apply_delta: edge {" +
+      throw std::invalid_argument("IncrementalCds::advance: edge {" +
                                   std::to_string(u) + "," + std::to_string(v) +
                                   "} already present");
     }
@@ -191,7 +187,7 @@ void IncrementalCds::ingest_delta(const EdgeDelta& delta) {
   }
   for (const auto& [u, v] : delta.removed) {
     if (!graph_.remove_edge(u, v)) {
-      throw std::invalid_argument("IncrementalCds::apply_delta: edge {" +
+      throw std::invalid_argument("IncrementalCds::advance: edge {" +
                                   std::to_string(u) + "," + std::to_string(v) +
                                   "} not present");
     }
@@ -208,7 +204,7 @@ void IncrementalCds::ingest_energy(const std::vector<double>& energy) {
   }
   if (energy.size() != static_cast<std::size_t>(graph_.num_nodes())) {
     throw std::invalid_argument(
-        "IncrementalCds::set_energy: need one level per node");
+        "IncrementalCds::advance: need one level per node");
   }
   for (std::size_t i = 0; i < energy.size(); ++i) {
     // Keys are only ever compared between marked nodes (Rule 1 candidates
@@ -245,45 +241,11 @@ void IncrementalCds::ingest_stability(const std::vector<double>& stability) {
   stability_.assign(stability.begin(), stability.end());
 }
 
-void IncrementalCds::apply_delta(const EdgeDelta& delta) {
-  ingest_delta(delta);
-  propagate();
-}
-
-void IncrementalCds::move_node(NodeId v,
-                               const std::vector<NodeId>& new_neighbors) {
-  EdgeDelta delta;
-  const auto old_nbrs = graph_.neighbors(v);
-  std::vector<NodeId> sorted_new = new_neighbors;
-  std::sort(sorted_new.begin(), sorted_new.end());
-  for (const NodeId u : old_nbrs) {
-    if (!std::binary_search(sorted_new.begin(), sorted_new.end(), u)) {
-      delta.removed.emplace_back(v, u);
-    }
-  }
-  for (const NodeId u : sorted_new) {
-    if (!graph_.has_edge(v, u)) delta.added.emplace_back(v, u);
-  }
-  apply_delta(delta);
-}
-
-void IncrementalCds::set_energy(const std::vector<double>& energy) {
-  ingest_energy(energy);
-  propagate();
-}
-
-void IncrementalCds::advance(const EdgeDelta& delta,
-                             const std::vector<double>& energy) {
-  // Ingest the topology first so the energy size check and the keys both
-  // see the post-delta graph, then resolve everything in one pass.
-  ingest_delta(delta);
-  ingest_energy(energy);
-  propagate();
-}
-
 void IncrementalCds::advance(const EdgeDelta& delta,
                              const std::vector<double>& energy,
                              const std::vector<double>& stability) {
+  // Ingest the topology first so the size checks and the keys all see the
+  // post-delta graph, then resolve everything in one pass.
   ingest_delta(delta);
   ingest_energy(energy);
   ingest_stability(stability);

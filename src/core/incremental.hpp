@@ -18,10 +18,10 @@
 // decisions, and the result is bit-identical to a full recomputation.
 // Property tests assert that equivalence on random dynamic topologies.
 //
-// Energy drain therefore no longer forces a full refresh: set_energy and
-// advance diff the supplied (typically already-quantized) levels against the
-// stored ones and seed X with the nodes whose level actually changed — under
-// coarse quantization most intervals change few or no keys.
+// Energy drain therefore no longer forces a full refresh: advance diffs the
+// supplied (typically already-quantized) levels against the stored ones and
+// seeds X with the nodes whose level actually changed — under coarse
+// quantization most intervals change few or no keys.
 
 #include <cstddef>
 #include <utility>
@@ -49,29 +49,27 @@ struct EdgeDelta {
 
 /// Maintains the gateway set of an evolving graph with localized updates.
 ///
-/// Always uses Strategy::kSimultaneous internally (the `strategy` field of
-/// `options` is ignored): the sequential strategies cascade removals
-/// arbitrarily far, which defeats locality — only the synchronous semantics
-/// has the per-stage neighborhood guarantee. Gateways therefore match
-/// compute_cds(..., {.strategy = kSimultaneous, ...}).
+/// Always uses Strategy::kSimultaneous: the sequential strategies cascade
+/// removals arbitrarily far, which defeats locality — only the synchronous
+/// semantics has the per-stage neighborhood guarantee. Gateways therefore
+/// match compute_cds(..., {.strategy = kSimultaneous, .clique_policy = ...}).
 ///
-/// All update entry points reuse member scratch buffers; steady-state calls
-/// allocate nothing.
+/// advance reuses member scratch buffers; steady-state calls allocate
+/// nothing.
 class IncrementalCds {
  public:
-  /// `exec` controls how full refreshes run: with an executor, the initial
-  /// computation (and every explicit full_refresh) shards its marking and
-  /// rule passes across the executor's workers — localized delta updates
-  /// always run serially (their regions are small by construction). Both
-  /// referents of `exec` are borrowed and must outlive this object; results
-  /// are bit-identical for every executor.
+  /// `exec` controls how the initial full computation runs: with an
+  /// executor, it shards its marking and rule passes across the executor's
+  /// workers — localized updates always run serially (their regions are
+  /// small by construction). Both referents of `exec` are borrowed and must
+  /// outlive this object; results are bit-identical for every executor.
   ///
   /// `stability` seeds the per-node churn estimates for RuleSet::kSEL; an
   /// empty vector means "no churn observed yet" (all zeros). Ignored — and
   /// required empty-or-n — for the other schemes.
   IncrementalCds(Graph g, RuleSet rs, std::vector<double> energy = {},
-                 CdsOptions options = {}, ExecContext exec = {},
-                 std::vector<double> stability = {});
+                 CliquePolicy clique_policy = CliquePolicy::kNone,
+                 ExecContext exec = {}, std::vector<double> stability = {});
 
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
   [[nodiscard]] const DynBitset& gateways() const noexcept { return gateways_; }
@@ -89,36 +87,17 @@ class IncrementalCds {
     return last_touched_;
   }
 
-  /// Applies edge insertions/removals and re-evaluates only the affected
-  /// stage regions. Throws std::invalid_argument if an added edge already
-  /// exists or a removed edge is absent (callers must pass a consistent
-  /// delta).
-  void apply_delta(const EdgeDelta& delta);
-
-  /// Convenience: replace node v's neighborhood (host moved); computes the
-  /// delta internally and applies it.
-  void move_node(NodeId v, const std::vector<NodeId>& new_neighbors);
-
-  /// Replaces the energy levels, re-evaluating only around nodes whose
-  /// level differs from the stored one. A no-op region-wise for schemes
-  /// whose key ignores energy.
-  void set_energy(const std::vector<double>& energy);
-
-  /// One combined step: apply a topology delta and new energy levels, then
-  /// re-evaluate once over the union of both dirty sets. Equivalent to
-  /// apply_delta(delta) followed by set_energy(energy) but with a single
-  /// propagation pass (keys are always read on the post-delta graph).
-  void advance(const EdgeDelta& delta, const std::vector<double>& energy);
-
-  /// kSEL variant of advance: also replaces the per-node stability
-  /// estimates, dirtying marked nodes whose (typically already-quantized)
-  /// estimate changed — exactly the energy-diff treatment, applied to the
-  /// key's stability component.
+  /// One interval's update: applies the edge insertions/removals in
+  /// `delta`, replaces the energy levels and (kSEL only) the per-node
+  /// stability estimates, then re-evaluates once over the union of the
+  /// dirty sets — the rows the delta changed and the marked nodes whose
+  /// (typically already-quantized) key input changed. Keys are read on the
+  /// post-delta graph. `energy` is ignored for schemes whose key ignores
+  /// it; `stability` must be empty for every scheme but kSEL. Throws
+  /// std::invalid_argument if an added edge already exists, a removed edge
+  /// is absent, or a vector has the wrong size.
   void advance(const EdgeDelta& delta, const std::vector<double>& energy,
-               const std::vector<double>& stability);
-
-  /// Full recomputation from scratch (also used internally).
-  void full_refresh();
+               const std::vector<double>& stability = {});
 
   /// Points subsequent updates at a metrics registry (null detaches).
   /// Phase timings (marking/rules/delta_apply) and touched-node counters
@@ -128,6 +107,8 @@ class IncrementalCds {
   }
 
  private:
+  /// Full recomputation from scratch (the constructor's first pass).
+  void full_refresh();
   /// Mutates the graph per `delta` (validating it) and accumulates the
   /// endpoints into dirty_rows_.
   void ingest_delta(const EdgeDelta& delta);
@@ -151,7 +132,7 @@ class IncrementalCds {
   RuleSet rule_set_;
   std::vector<double> energy_;
   std::vector<double> stability_;  ///< kSEL churn estimates (else empty)
-  CdsOptions options_;
+  CliquePolicy clique_policy_;
   ExecContext exec_;
   CdsWorkspace own_ws_;
 

@@ -241,7 +241,7 @@ void IncrementalEngine::update(const std::vector<Vec2>& positions,
       cds_.emplace(
           std::move(graph), config_.rule_set,
           uses_energy(config_.rule_set) ? keys : std::vector<double>{},
-          config_.cds_options,
+          config_.cds_options.clique_policy,
           ExecContext{pool_ ? &*pool_ : nullptr, &workspace_, metrics_},
           stability);
       return;

@@ -42,17 +42,6 @@ TEST(IncrementalTest, InitialStateMatchesFull) {
   expect_matches_full(inc, {});
 }
 
-TEST(IncrementalTest, StrategyOptionIsPinnedToSimultaneous) {
-  // Passing a sequential strategy is silently overridden — the updater's
-  // locality guarantee only exists for the synchronous semantics.
-  CdsOptions options;
-  options.strategy = Strategy::kSequential;
-  const IncrementalCds inc(path_graph(6), RuleSet::kID, {}, options);
-  const CdsResult full =
-      compute_cds(path_graph(6), RuleSet::kID, {}, simultaneous_options());
-  EXPECT_EQ(inc.gateways(), full.gateways);
-}
-
 TEST(IncrementalTest, EnergySchemeNeedsEnergy) {
   EXPECT_THROW(IncrementalCds(path_graph(4), RuleSet::kEL1),
                std::invalid_argument);
@@ -62,7 +51,7 @@ TEST(IncrementalTest, AddEdgeUpdates) {
   IncrementalCds inc(path_graph(6), RuleSet::kID);
   EdgeDelta delta;
   delta.added.emplace_back(0, 5);  // close the cycle
-  inc.apply_delta(delta);
+  inc.advance(delta, {});
   expect_matches_full(inc, {});
   EXPECT_TRUE(inc.graph().has_edge(0, 5));
 }
@@ -73,13 +62,13 @@ TEST(IncrementalTest, RemoveEdgeUpdates) {
   IncrementalCds inc(std::move(g), RuleSet::kND);
   EdgeDelta delta;
   delta.removed.emplace_back(0, 5);
-  inc.apply_delta(delta);
+  inc.advance(delta, {});
   expect_matches_full(inc, {});
 }
 
 TEST(IncrementalTest, EmptyDeltaTouchesNothing) {
   IncrementalCds inc(path_graph(6), RuleSet::kID);
-  inc.apply_delta(EdgeDelta{});
+  inc.advance(EdgeDelta{}, {});
   EXPECT_EQ(inc.last_touched(), 0u);
   expect_matches_full(inc, {});
 }
@@ -88,20 +77,10 @@ TEST(IncrementalTest, BadDeltaThrows) {
   IncrementalCds inc(path_graph(4), RuleSet::kID);
   EdgeDelta dup;
   dup.added.emplace_back(0, 1);  // already present
-  EXPECT_THROW(inc.apply_delta(dup), std::invalid_argument);
+  EXPECT_THROW(inc.advance(dup, {}), std::invalid_argument);
   EdgeDelta missing;
   missing.removed.emplace_back(0, 3);  // absent
-  EXPECT_THROW(inc.apply_delta(missing), std::invalid_argument);
-}
-
-TEST(IncrementalTest, MoveNodeComputesDelta) {
-  IncrementalCds inc(path_graph(5), RuleSet::kID);
-  // Host 0 "moves" next to hosts 3 and 4.
-  inc.move_node(0, {3, 4});
-  EXPECT_FALSE(inc.graph().has_edge(0, 1));
-  EXPECT_TRUE(inc.graph().has_edge(0, 3));
-  EXPECT_TRUE(inc.graph().has_edge(0, 4));
-  expect_matches_full(inc, {});
+  EXPECT_THROW(inc.advance(missing, {}), std::invalid_argument);
 }
 
 TEST(IncrementalTest, LocalityOnLongPath) {
@@ -110,7 +89,7 @@ TEST(IncrementalTest, LocalityOnLongPath) {
   IncrementalCds inc(path_graph(60), RuleSet::kID);
   EdgeDelta delta;
   delta.added.emplace_back(0, 2);
-  inc.apply_delta(delta);
+  inc.advance(delta, {});
   EXPECT_LE(inc.last_touched(), 12u);  // well under 60
   expect_matches_full(inc, {});
 }
@@ -119,7 +98,7 @@ TEST(IncrementalTest, SetEnergyUpdatesAroundChangedLevels) {
   std::vector<double> energy{5.0, 5.0, 5.0, 5.0, 5.0};
   IncrementalCds inc(path_graph(5), RuleSet::kEL1, energy);
   energy[2] = 1.0;
-  inc.set_energy(energy);
+  inc.advance(EdgeDelta{}, energy);
   EXPECT_EQ(inc.energy(), energy);
   expect_matches_full(inc, energy);
 }
@@ -127,7 +106,7 @@ TEST(IncrementalTest, SetEnergyUpdatesAroundChangedLevels) {
 TEST(IncrementalTest, SetEnergyWithNoLevelChangeTouchesNothing) {
   const std::vector<double> energy{5.0, 4.0, 5.0, 4.0, 5.0};
   IncrementalCds inc(path_graph(5), RuleSet::kEL1, energy);
-  inc.set_energy(energy);
+  inc.advance(EdgeDelta{}, energy);
   EXPECT_EQ(inc.last_touched(), 0u);
   expect_matches_full(inc, energy);
 }
@@ -138,7 +117,7 @@ TEST(IncrementalTest, SetEnergyLocalityOnLongPath) {
   std::vector<double> energy(60, 5.0);
   IncrementalCds inc(path_graph(60), RuleSet::kEL1, energy);
   energy[30] = 1.0;
-  inc.set_energy(energy);
+  inc.advance(EdgeDelta{}, energy);
   EXPECT_LE(inc.last_touched(), 10u);  // well under 60
   expect_matches_full(inc, energy);
 }
@@ -168,21 +147,20 @@ TEST(IncrementalTest, AdvanceIgnoresEnergyForTopologyOnlySchemes) {
 TEST(IncrementalTest, SetEnergySizeMismatchThrows) {
   IncrementalCds inc(path_graph(5), RuleSet::kEL1,
                      std::vector<double>(5, 1.0));
-  EXPECT_THROW(inc.set_energy({1.0}), std::invalid_argument);
+  EXPECT_THROW(inc.advance(EdgeDelta{}, {1.0}), std::invalid_argument);
 }
 
 TEST(IncrementalTest, CliquePolicyMaintained) {
-  CdsOptions options;
+  CdsOptions options = simultaneous_options();
   options.clique_policy = CliquePolicy::kElectMaxKey;
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  options.strategy = Strategy::kSimultaneous;
-  IncrementalCds inc(std::move(g), RuleSet::kID, {}, options);
+  IncrementalCds inc(std::move(g), RuleSet::kID, {}, options.clique_policy);
   // Make the component a triangle: marking empties, the policy elects.
   EdgeDelta delta;
   delta.added.emplace_back(0, 2);
-  inc.apply_delta(delta);
+  inc.advance(delta, {});
   const CdsResult full = compute_cds(inc.graph(), RuleSet::kID, {}, options);
   EXPECT_EQ(inc.gateways(), full.gateways);
   EXPECT_EQ(inc.gateways().count(), 1u);
