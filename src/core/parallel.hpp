@@ -13,8 +13,8 @@
 //
 // The core layer only sees this minimal `Executor` interface; the concrete
 // multi-threaded implementation is sim/ThreadPool (which derives from it),
-// so core keeps zero threading dependencies and everything stays testable
-// with the inline SerialExecutor.
+// so core keeps zero threading dependencies. A null Executor* is the serial
+// path (run_sharded below).
 
 #include <cstddef>
 #include <type_traits>
@@ -69,21 +69,9 @@ class Executor {
                           ChunkFnRef body) = 0;
 };
 
-/// Inline executor: one chunk, lane 0, on the calling thread. The null
-/// object of the parallel layer — passing it (or a null Executor*) to any
-/// pipeline entry point reproduces the plain serial pass exactly.
-class SerialExecutor final : public Executor {
- public:
-  [[nodiscard]] std::size_t max_lanes() const override { return 1; }
-
-  void run_chunks(std::size_t count, std::size_t /*align*/,
-                  ChunkFnRef body) override {
-    if (count > 0) body(0, count, 0);
-  }
-};
-
-/// Runs `body` on `exec`, or inline when `exec` is null. The shared
-/// entry-point idiom of every *_into kernel.
+/// Runs `body` on `exec`, or inline when `exec` is null: one chunk, lane 0,
+/// on the calling thread — the plain serial pass. The shared entry-point
+/// idiom of every *_into kernel.
 inline void run_sharded(Executor* exec, std::size_t count, std::size_t align,
                         ChunkFnRef body) {
   if (exec != nullptr) {

@@ -5,12 +5,10 @@
 
 namespace pacds {
 
-namespace {
-
 /// Shared state of one bulk (run_chunks / parallel_for) invocation. Lives on
 /// the caller's stack; helpers hold a pointer only while the caller blocks
 /// in bulk_run, so lifetime is guaranteed by the join.
-struct BulkState {
+struct ThreadPool::BulkState {
   std::atomic<std::size_t> next{0};
   std::size_t count = 0;
   std::size_t chunk = 1;
@@ -21,28 +19,26 @@ struct BulkState {
   std::exception_ptr error;  ///< first exception a chunk threw (mutex)
 
   explicit BulkState(ChunkFnRef b) : body(b) {}
-};
 
-/// Claims chunks until the range is exhausted. `lane` is stable for the
-/// whole drain, so chunk bodies may use it to index scratch without locks.
-/// A chunk that throws ends every claimant's drain: its exception is kept
-/// for the caller and the unclaimed chunks never run.
-void drain_bulk(BulkState& state, std::size_t lane) {
-  try {
-    while (true) {
-      const std::size_t begin =
-          state.next.fetch_add(state.chunk, std::memory_order_relaxed);
-      if (begin >= state.count) return;
-      state.body(begin, std::min(begin + state.chunk, state.count), lane);
+  /// Claims chunks until the range is exhausted. `lane` is stable for the
+  /// whole drain, so chunk bodies may use it to index scratch without locks.
+  /// A chunk that throws ends every claimant's drain: its exception is kept
+  /// for the caller and the unclaimed chunks never run.
+  void drain(std::size_t lane) {
+    try {
+      while (true) {
+        const std::size_t begin =
+            next.fetch_add(chunk, std::memory_order_relaxed);
+        if (begin >= count) return;
+        body(begin, std::min(begin + chunk, count), lane);
+      }
+    } catch (...) {
+      next.store(count, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (!error) error = std::current_exception();
     }
-  } catch (...) {
-    state.next.store(state.count, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(state.mutex);
-    if (!state.error) state.error = std::current_exception();
   }
-}
-
-}  // namespace
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -63,29 +59,22 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::enqueue(Helper helper) {
   tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (queued_ == tasks_.size()) {
-      std::vector<std::function<void()>> grown(
-          std::max<std::size_t>(8, 2 * tasks_.size()));
+      std::vector<Helper> grown(std::max<std::size_t>(8, 2 * tasks_.size()));
       for (std::size_t i = 0; i < queued_; ++i) {
-        grown[i] = std::move(tasks_[(head_ + i) % tasks_.size()]);
+        grown[i] = tasks_[(head_ + i) % tasks_.size()];
       }
       tasks_ = std::move(grown);
       head_ = 0;
     }
-    tasks_[(head_ + queued_) % tasks_.size()] = std::move(task);
+    tasks_[(head_ + queued_) % tasks_.size()] = helper;
     ++queued_;
-    ++in_flight_;
   }
   task_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::bulk_run(std::size_t count, std::size_t chunk,
@@ -103,18 +92,8 @@ void ThreadPool::bulk_run(std::size_t count, std::size_t chunk,
   // remaining chunk is worth waking.
   const std::size_t helpers = std::min(workers_.size(), nchunks - 1);
   state.active_helpers = helpers;
-  for (std::size_t h = 0; h < helpers; ++h) {
-    submit([bulk = &state, lane = h + 1] {
-      drain_bulk(*bulk, lane);
-      // Notify while holding the mutex: the caller destroys *bulk as soon as
-      // its wait returns, and the wait cannot return before this unlock — so
-      // the cv is never touched after it may have died.
-      const std::lock_guard<std::mutex> lock(bulk->mutex);
-      --bulk->active_helpers;
-      bulk->done.notify_one();
-    });
-  }
-  drain_bulk(state, 0);
+  for (std::size_t h = 0; h < helpers; ++h) enqueue({&state, h + 1});
+  state.drain(0);
   std::unique_lock<std::mutex> lock(state.mutex);
   state.done.wait(lock, [&state] { return state.active_helpers == 0; });
   if (state.error) std::rethrow_exception(state.error);
@@ -146,22 +125,23 @@ void ThreadPool::parallel_for(std::size_t count,
 
 void ThreadPool::worker_loop() {
   while (true) {
-    std::function<void()> task;
+    Helper helper;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       task_ready_.wait(lock, [this] { return stopping_ || queued_ != 0; });
       if (queued_ == 0) return;  // stopping and drained
-      task = std::move(tasks_[head_]);
-      tasks_[head_] = nullptr;
+      helper = tasks_[head_];
       head_ = (head_ + 1) % tasks_.size();
       --queued_;
     }
-    task();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    BulkState& bulk = *helper.bulk;
+    bulk.drain(helper.lane);
+    // Notify while holding the mutex: the caller destroys the state as soon
+    // as its wait returns, and the wait cannot return before this unlock —
+    // so the cv is never touched after it may have died.
+    const std::lock_guard<std::mutex> lock(bulk.mutex);
+    --bulk.active_helpers;
+    bulk.done.notify_one();
   }
 }
 
