@@ -96,17 +96,6 @@ std::vector<std::pair<NodeId, NodeId>> bridges(const Graph& g) {
   return ll.edge_bridges;
 }
 
-double forced_gateway_fraction(const Graph& g, const DynBitset& set) {
-  const std::size_t total = set.count();
-  if (total == 0) return 0.0;
-  const DynBitset cuts = articulation_points(g);
-  std::size_t forced = 0;
-  set.for_each_set([&](std::size_t i) {
-    if (cuts.test(i)) ++forced;
-  });
-  return static_cast<double>(forced) / static_cast<double>(total);
-}
-
 bool is_biconnected(const Graph& g) {
   if (g.num_nodes() <= 1) return true;
   if (!g.is_connected()) return false;

@@ -21,11 +21,6 @@ namespace pacds {
 /// All bridges of g (edges whose removal splits a component), u < v.
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> bridges(const Graph& g);
 
-/// Fraction of gateway-duty that is structurally forced: |articulation ∩
-/// set| / |set| (0 when the set is empty).
-[[nodiscard]] double forced_gateway_fraction(const Graph& g,
-                                             const DynBitset& set);
-
 /// True iff g is connected and has no articulation point (2-connected for
 /// n >= 3; K2 and trivial graphs count as biconnected). A biconnected
 /// backbone survives the loss of any single member — the invariant behind

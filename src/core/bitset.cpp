@@ -78,14 +78,6 @@ bool DynBitset::is_subset_of_except(const DynBitset& other,
                                 Word{1} << (ignore % kWordBits));
 }
 
-bool DynBitset::is_subset_of_union(const DynBitset& a,
-                                   const DynBitset& b) const {
-  check_same_size(a);
-  check_same_size(b);
-  return simd::is_subset_union(words_.data(), a.words_.data(),
-                               b.words_.data(), words_.size());
-}
-
 bool DynBitset::intersects(const DynBitset& other) const {
   check_same_size(other);
   return simd::intersects(words_.data(), other.words_.data(), words_.size());
@@ -136,13 +128,6 @@ std::size_t DynBitset::find_next(std::size_t i) const noexcept {
     if (++w == words_.size()) return nbits_;
     bits = words_[w];
   }
-}
-
-std::vector<std::size_t> DynBitset::to_indices() const {
-  std::vector<std::size_t> out;
-  out.reserve(count());
-  for_each_set([&out](std::size_t i) { out.push_back(i); });
-  return out;
 }
 
 std::string DynBitset::to_string() const {

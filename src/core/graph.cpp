@@ -406,40 +406,6 @@ Graph Graph::induced(const DynBitset& keep, std::vector<NodeId>* mapping) const 
   return sub;
 }
 
-std::vector<NodeId> Graph::shortest_path(NodeId src, NodeId dst,
-                                         const DynBitset* allowed) const {
-  check_node(src, "shortest_path");
-  check_node(dst, "shortest_path");
-  if (src == dst) return {src};
-  std::vector<NodeId> parent(static_cast<std::size_t>(n_), -1);
-  std::vector<char> seen(static_cast<std::size_t>(n_), 0);
-  seen[static_cast<std::size_t>(src)] = 1;
-  std::deque<NodeId> queue{src};
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    const bool can_relay =
-        cur == src || allowed == nullptr ||
-        allowed->test(static_cast<std::size_t>(cur));
-    if (!can_relay) continue;
-    for (const NodeId nxt : neighbors(cur)) {
-      if (seen[static_cast<std::size_t>(nxt)]) continue;
-      seen[static_cast<std::size_t>(nxt)] = 1;
-      parent[static_cast<std::size_t>(nxt)] = cur;
-      if (nxt == dst) {
-        std::vector<NodeId> path{dst};
-        for (NodeId p = cur; p != -1; p = parent[static_cast<std::size_t>(p)]) {
-          path.push_back(p);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      queue.push_back(nxt);
-    }
-  }
-  return {};
-}
-
 std::optional<NodeId> Graph::diameter() const {
   if (n_ == 0 || !is_connected()) return std::nullopt;
   NodeId diam = 0;

@@ -142,11 +142,6 @@ class Graph {
   [[nodiscard]] Graph induced(const DynBitset& keep,
                               std::vector<NodeId>* mapping = nullptr) const;
 
-  /// One shortest path src→dst (inclusive), empty if unreachable. `allowed`
-  /// restricts interior vertices as in bfs_distances.
-  [[nodiscard]] std::vector<NodeId> shortest_path(
-      NodeId src, NodeId dst, const DynBitset* allowed = nullptr) const;
-
   /// Longest shortest-path distance over all reachable pairs; nullopt for
   /// disconnected or empty graphs.
   [[nodiscard]] std::optional<NodeId> diameter() const;

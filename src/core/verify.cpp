@@ -150,33 +150,4 @@ bool property3_holds(const Graph& g, const DynBitset& gateways) {
   return true;
 }
 
-double average_distance_stretch(const Graph& g, const DynBitset& gateways,
-                                double unreachable_penalty,
-                                std::size_t* unreachable_pairs) {
-  const NodeId n = g.num_nodes();
-  double sum = 0.0;
-  std::size_t pairs = 0;
-  std::size_t unreachable = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    const auto full = g.bfs_distances(s);
-    const auto restricted = g.bfs_distances(s, &gateways);
-    for (NodeId t = static_cast<NodeId>(s + 1); t < n; ++t) {
-      const auto ti = static_cast<std::size_t>(t);
-      if (full[ti] <= 0) continue;  // unreachable in G, or s == t
-      if (restricted[ti] < 0) {
-        ++unreachable;
-        if (unreachable_penalty > 0.0) {
-          sum += unreachable_penalty;
-          ++pairs;
-        }
-        continue;
-      }
-      sum += static_cast<double>(restricted[ti]) / static_cast<double>(full[ti]);
-      ++pairs;
-    }
-  }
-  if (unreachable_pairs != nullptr) *unreachable_pairs = unreachable;
-  return pairs == 0 ? 1.0 : sum / static_cast<double>(pairs);
-}
-
 }  // namespace pacds

@@ -43,13 +43,4 @@ struct CdsCheck {
 /// Holds for the raw marking-process output; generally *not* after rules.
 [[nodiscard]] bool property3_holds(const Graph& g, const DynBitset& gateways);
 
-/// Average multiplicative stretch of gateway-interior-restricted distances
-/// over all connected pairs (1.0 = distances fully preserved). Pairs that
-/// become unreachable count as `unreachable_penalty`.
-[[nodiscard]] double average_distance_stretch(const Graph& g,
-                                              const DynBitset& gateways,
-                                              double unreachable_penalty = 0.0,
-                                              std::size_t* unreachable_pairs =
-                                                  nullptr);
-
 }  // namespace pacds

@@ -48,11 +48,4 @@ double BatteryBank::min_level() const noexcept {
   return *std::min_element(levels_.begin(), levels_.end());
 }
 
-std::optional<std::size_t> BatteryBank::first_dead() const noexcept {
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (levels_[i] <= 0.0) return i;
-  }
-  return std::nullopt;
-}
-
 }  // namespace pacds

@@ -4,7 +4,6 @@
 // gateway status; a host "ceases to function" when its level reaches zero.
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace pacds {
@@ -35,9 +34,6 @@ class BatteryBank {
 
   /// Lowest level across all hosts (0 if any host is dead).
   [[nodiscard]] double min_level() const noexcept;
-
-  /// First dead host index, if any.
-  [[nodiscard]] std::optional<std::size_t> first_dead() const noexcept;
 
   /// True iff some host has zero energy — the paper's network-death event.
   [[nodiscard]] bool any_dead() const noexcept { return dead_count_ > 0; }

@@ -86,18 +86,6 @@ TEST(BridgesTest, BarbellBridge) {
   EXPECT_EQ(bridges(g), (std::vector<std::pair<NodeId, NodeId>>{{2, 3}}));
 }
 
-TEST(ForcedFractionTest, Basics) {
-  const Graph g = path_graph(5);
-  DynBitset set(5);
-  EXPECT_DOUBLE_EQ(forced_gateway_fraction(g, set), 0.0);
-  set.set(1);
-  set.set(2);
-  set.set(3);
-  EXPECT_DOUBLE_EQ(forced_gateway_fraction(g, set), 1.0);
-  set.set(0);  // 0 is not a cut
-  EXPECT_DOUBLE_EQ(forced_gateway_fraction(g, set), 0.75);
-}
-
 // Brute-force cross-check: v is an articulation point iff removing v
 // increases the component count of its component.
 class ArticulationPropertyTest

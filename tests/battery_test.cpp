@@ -19,7 +19,6 @@ TEST(BatteryTest, InitialState) {
   }
   EXPECT_EQ(bank.alive_count(), 4u);
   EXPECT_FALSE(bank.any_dead());
-  EXPECT_FALSE(bank.first_dead().has_value());
   EXPECT_DOUBLE_EQ(bank.min_level(), 100.0);
 }
 
@@ -42,7 +41,6 @@ TEST(BatteryTest, DrainToExactlyZeroKills) {
   EXPECT_FALSE(bank.alive(0));
   EXPECT_TRUE(bank.any_dead());
   EXPECT_EQ(bank.alive_count(), 1u);
-  EXPECT_EQ(bank.first_dead().value(), 0u);
   EXPECT_DOUBLE_EQ(bank.min_level(), 0.0);
 }
 
@@ -74,13 +72,6 @@ TEST(BatteryTest, OutOfRangeThrows) {
   BatteryBank bank(2, 5.0);
   EXPECT_THROW((void)bank.level(2), std::out_of_range);
   EXPECT_THROW(bank.drain(2, 1.0), std::out_of_range);
-}
-
-TEST(BatteryTest, FirstDeadFindsLowestIndex) {
-  BatteryBank bank(3, 5.0);
-  bank.drain(2, 5.0);
-  bank.drain(1, 5.0);
-  EXPECT_EQ(bank.first_dead().value(), 1u);
 }
 
 TEST(BatteryTest, LevelsVectorMirrorsState) {

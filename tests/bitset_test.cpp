@@ -104,21 +104,6 @@ TEST(BitsetTest, EmptyIsSubsetOfAnything) {
   EXPECT_TRUE(empty.is_subset_of(empty));
 }
 
-TEST(BitsetTest, SubsetOfUnion) {
-  DynBitset v(100);
-  DynBitset a(100);
-  DynBitset b(100);
-  v.set(1);
-  v.set(70);
-  a.set(1);
-  b.set(70);
-  EXPECT_TRUE(v.is_subset_of_union(a, b));
-  EXPECT_FALSE(v.is_subset_of(a));
-  EXPECT_FALSE(v.is_subset_of(b));
-  b.reset(70);
-  EXPECT_FALSE(v.is_subset_of_union(a, b));
-}
-
 TEST(BitsetTest, SizeMismatchThrows) {
   DynBitset a(10);
   DynBitset b(11);
@@ -221,13 +206,6 @@ TEST(BitsetTest, ForEachSetAscending) {
   std::vector<std::size_t> seen;
   bits.for_each_set([&seen](std::size_t i) { seen.push_back(i); });
   EXPECT_EQ(seen, expected);
-}
-
-TEST(BitsetTest, ToIndices) {
-  DynBitset bits(10);
-  bits.set(2);
-  bits.set(7);
-  EXPECT_EQ(bits.to_indices(), (std::vector<std::size_t>{2, 7}));
 }
 
 TEST(BitsetTest, ToString) {

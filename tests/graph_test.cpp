@@ -263,24 +263,6 @@ TEST(GraphTest, InducedMaskSizeMismatchThrows) {
   EXPECT_THROW((void)g.induced(DynBitset(2)), std::invalid_argument);
 }
 
-TEST(GraphTest, ShortestPath) {
-  const Graph g = cycle_graph(6);
-  const auto path = g.shortest_path(0, 3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path.front(), 0);
-  EXPECT_EQ(path.back(), 3);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
-  }
-}
-
-TEST(GraphTest, ShortestPathTrivialAndMissing) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_EQ(g.shortest_path(2, 2), (std::vector<NodeId>{2}));
-  EXPECT_TRUE(g.shortest_path(0, 2).empty());
-}
-
 TEST(GraphTest, Diameter) {
   EXPECT_EQ(path_graph(5).diameter().value(), 4);
   EXPECT_EQ(complete_graph(5).diameter().value(), 1);

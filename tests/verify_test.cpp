@@ -1,5 +1,5 @@
 // Tests for the CDS validity checkers: domination, induced connectivity,
-// clique exemption, removal safety, Property 3, and distance stretch.
+// clique exemption, removal safety and Property 3.
 
 #include "core/verify.hpp"
 
@@ -133,47 +133,6 @@ TEST(Property3Test, TooSmallGatewaySetFails) {
   // shortest paths.
   const Graph g = cycle_graph(6);
   EXPECT_FALSE(property3_holds(g, set_of(6, {0, 1, 2})));
-}
-
-TEST(StretchTest, FullGatewaySetHasStretchOne) {
-  const Graph g = cycle_graph(7);
-  DynBitset all(7);
-  all.set_all();
-  EXPECT_DOUBLE_EQ(average_distance_stretch(g, all), 1.0);
-}
-
-TEST(StretchTest, MarkingOutputHasStretchOne) {
-  const Graph g = figure1_graph();
-  EXPECT_DOUBLE_EQ(average_distance_stretch(g, marking_process(g)), 1.0);
-}
-
-TEST(StretchTest, ReducedSetStretches) {
-  // C6 with gateways {0,1,2,3} (a valid CDS): the 3-5 pair (true distance 2
-  // via node 4) must route 3-2-1-0-5 (4 hops) -> stretch 2.
-  const Graph g = cycle_graph(6);
-  std::size_t unreachable = 0;
-  const double stretch = average_distance_stretch(g, set_of(6, {0, 1, 2, 3}),
-                                                  0.0, &unreachable);
-  EXPECT_GT(stretch, 1.0);
-  EXPECT_EQ(unreachable, 0u);
-}
-
-TEST(StretchTest, UnreachableCounted) {
-  // Path 0-1-2 with no gateways: pair (0,2) cannot route.
-  const Graph g = path_graph(3);
-  std::size_t unreachable = 0;
-  const double stretch =
-      average_distance_stretch(g, DynBitset(3), 0.0, &unreachable);
-  EXPECT_EQ(unreachable, 1u);
-  // Adjacent pairs still average to 1.0.
-  EXPECT_DOUBLE_EQ(stretch, 1.0);
-}
-
-TEST(StretchTest, UnreachablePenaltyApplied) {
-  const Graph g = path_graph(3);
-  const double stretch = average_distance_stretch(g, DynBitset(3), 10.0);
-  // Pairs: (0,1)=1, (1,2)=1, (0,2)=penalty 10 -> mean 4.
-  EXPECT_DOUBLE_EQ(stretch, 4.0);
 }
 
 }  // namespace
