@@ -1,6 +1,7 @@
 #include "io/edgelist.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -55,6 +56,10 @@ Graph read_edgelist(std::istream& is) {
   }
   std::string trailing;
   if (header >> trailing) fail(line_no, "trailing tokens after header");
+  if (n > std::numeric_limits<NodeId>::max()) {
+    fail(line_no, "vertex count " + std::to_string(n) + " exceeds " +
+                      std::to_string(std::numeric_limits<NodeId>::max()));
+  }
   Graph g(static_cast<NodeId>(n));
   for (long long i = 0; i < m; ++i) {
     if (!next_content_line(is, line, line_no)) {

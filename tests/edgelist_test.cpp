@@ -48,6 +48,23 @@ TEST(EdgelistTest, BadHeaderThrows) {
   EXPECT_THROW((void)edgelist_from_string("3 1 9\n0 1\n"), std::runtime_error);
 }
 
+TEST(EdgelistTest, VertexCountAboveNodeIdRangeThrows) {
+  // Each count would wrap when narrowed to NodeId: to 1 host, to 3 hosts
+  // (so edge {0, 2} would fit), and to a negative count.
+  for (const char* text :
+       {"4294967297 0\n", "4294967299 1\n0 2\n", "2147483648 0\n"}) {
+    try {
+      (void)edgelist_from_string(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "edge list parse error at line 1: vertex count ", 0),
+                0u)
+          << e.what();
+    }
+  }
+}
+
 TEST(EdgelistTest, TruncatedEdgesThrow) {
   EXPECT_THROW((void)edgelist_from_string("3 2\n0 1\n"), std::runtime_error);
 }
