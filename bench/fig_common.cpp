@@ -88,7 +88,7 @@ int run_figure(const FigureSpec& spec) {
   std::cout << ")\n";
 
   if (write_csv_file(spec.csv_name, sweep_csv_header(result),
-                     sweep_csv_rows(result, spec.metric))) {
+                     sweep_csv_rows(result))) {
     std::cout << "wrote " << spec.csv_name << "\n";
   }
   return 0;

@@ -660,7 +660,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
   const std::string csv_path = parser.option("csv");
   if (!csv_path.empty()) {
     if (!write_csv_file(csv_path, sweep_csv_header(result),
-                        sweep_csv_rows(result, SweepMetric::kLifetime))) {
+                        sweep_csv_rows(result))) {
       throw std::runtime_error("cannot write " + csv_path);
     }
     report << "\nwrote " << csv_path << "\n";

@@ -76,8 +76,7 @@ std::vector<std::string> sweep_csv_header(const SweepResult& result) {
   return header;
 }
 
-std::vector<std::vector<std::string>> sweep_csv_rows(const SweepResult& result,
-                                                     SweepMetric) {
+std::vector<std::vector<std::string>> sweep_csv_rows(const SweepResult& result) {
   std::vector<std::vector<std::string>> rows;
   for (const SweepRow& row : result.rows) {
     std::vector<std::string> cells{TextTable::fmt(row.n_hosts)};

@@ -53,9 +53,11 @@ enum class SweepMetric {
 [[nodiscard]] TextTable sweep_table(const SweepResult& result,
                                     SweepMetric metric, bool with_ci = false);
 
-/// CSV rows matching sweep_table(metric) plus CI columns.
+/// CSV of a sweep: one row per host count, and per scheme both metrics
+/// (lifetime, then gateway count), each followed by its ±95% CI column —
+/// the columns sweep_csv_header names.
 [[nodiscard]] std::vector<std::vector<std::string>> sweep_csv_rows(
-    const SweepResult& result, SweepMetric metric);
+    const SweepResult& result);
 [[nodiscard]] std::vector<std::string> sweep_csv_header(
     const SweepResult& result);
 

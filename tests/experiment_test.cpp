@@ -74,7 +74,7 @@ TEST(ExperimentTest, GatewayMetricDiffersFromLifetime) {
 TEST(ExperimentTest, CsvRowsMatchHeader) {
   const SweepResult result = run_sweep(tiny_sweep());
   const auto header = sweep_csv_header(result);
-  const auto rows = sweep_csv_rows(result, SweepMetric::kLifetime);
+  const auto rows = sweep_csv_rows(result);
   ASSERT_FALSE(rows.empty());
   for (const auto& row : rows) {
     EXPECT_EQ(row.size(), header.size());
