@@ -162,10 +162,11 @@ class SpatialGrid {
   void query_into(Vec2 center, double radius, NodeId exclude,
                   std::vector<NodeId>& out) const;
 
-  /// Re-files `node` after its point moved from `old_pos` to `new_pos`
-  /// (the backing positions vector must already hold `new_pos`). No-op when
-  /// both map to the same cell. Throws std::logic_error if the node is not
-  /// filed under `old_pos`'s cell — i.e. the caller's old position is stale.
+  /// Re-files `node` after its point moved from `old_pos` to `new_pos`; the
+  /// backing positions vector is not read, so the caller may store
+  /// `new_pos` before or after. No-op when both map to the same cell.
+  /// Throws std::logic_error if the node is not filed under `old_pos`'s
+  /// cell — i.e. the caller's old position is stale.
   void move(NodeId node, Vec2 old_pos, Vec2 new_pos);
 
  private:

@@ -12,7 +12,9 @@
 //     detects moved hosts by position diff, re-files them in a SpatialGrid
 //     and extracts their changed links as an EdgeDelta; the delta plus the
 //     quantized-energy diff drive one localized IncrementalCds::advance.
-//     Steady-state intervals are allocation-free.
+//     A steady interval allocates nothing once every scratch buffer (the
+//     delta's pair vectors among them) has reached its high-water mark; an
+//     interval that needs more than any before it still grows one.
 //
 // Wherever the incremental engine is eligible the two are bit-identical —
 // same gateway bitsets, same counts, hence byte-for-byte equal TrialResults
