@@ -5,10 +5,10 @@
 // keys, Model 1 drain, coarse key buckets, stay probability 0.95 — so the
 // n = 10k rows splice onto the n <= 800 curves in BENCH_lifetime.json.
 //
-// The 1M row doubles as the peak-memory demonstration for DESIGN.md §9:
-// the run only exists because per-tile dense rows are O(L²/64) with L the
-// local-universe size — a global dense substrate would need O(n²) = 125 GB
-// of bits at this size before computing anything.
+// The 1M row doubles as the memory demonstration for DESIGN.md §10: both
+// engines keep O(n + m) state on the CSR graph (the tiled engine adds only
+// its tiles' owned lists), where a global dense substrate would need
+// O(n²) = 125 GB of bits at this size before computing anything.
 //
 // Iteration counts are pinned for the big rows (one interval is hundreds of
 // milliseconds; letting min_time drive would stretch a bench_json regen to

@@ -205,6 +205,10 @@ NodeId Graph::degree(NodeId v) const {
   return deg_[static_cast<std::size_t>(v)];
 }
 
+NodeId Graph::max_degree() const noexcept {
+  return deg_.empty() ? 0 : *std::max_element(deg_.begin(), deg_.end());
+}
+
 NodeId Graph::slice_capacity(NodeId v) const {
   check_node(v, "slice_capacity");
   return cap_[static_cast<std::size_t>(v)];

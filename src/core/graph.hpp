@@ -78,6 +78,9 @@ class Graph {
   /// Degree |N(v)| — the paper's nd(v).
   [[nodiscard]] NodeId degree(NodeId v) const;
 
+  /// Largest degree of any vertex (0 for the empty graph).
+  [[nodiscard]] NodeId max_degree() const noexcept;
+
   /// Slots reserved for v's slice (degree plus slack): 0 until v gets an
   /// edge, then max(4, bit_ceil(degree)) under add_edge growth.
   [[nodiscard]] NodeId slice_capacity(NodeId v) const;

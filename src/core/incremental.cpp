@@ -66,6 +66,12 @@ void IncrementalCds::propagate() {
   const PriorityKey key(key_kind_of(rule_set_), graph_,
                         needs_energy ? &energy_ : nullptr,
                         uses_stability(rule_set_) ? &stability_ : nullptr);
+  // Each stage reads only the graph, the keys and the finished stage before
+  // it, and writes only bit i of its outputs (its stage bitset, and seed_ in
+  // the first two), so its region shards across the executor in
+  // word-aligned pieces (for_each_set_sharded). The regions themselves are
+  // grown serially: close_neighborhood writes neighbours' bits.
+  Executor* exec = exec_.executor;
 
   // Stage 1 — marking over N[P]. Marking reads topology only, so key
   // changes (X) cannot flip it. seed_ accumulates the inputs of the next
@@ -75,7 +81,7 @@ void IncrementalCds::propagate() {
   touched_ = region_;
   seed_ = dirty_rows_;
   seed_ |= dirty_keys_;
-  region_.for_each_set([&](std::size_t i) {
+  for_each_set_sharded(exec, region_, [&](std::size_t i, std::size_t) {
     const bool m = marks_itself(graph_, static_cast<NodeId>(i));
     if (m != marked_only_.test(i)) {
       marked_only_.set(i, m);
@@ -99,7 +105,7 @@ void IncrementalCds::propagate() {
     touched_ |= region_;
     seed_ = dirty_rows_;
     seed_ |= dirty_keys_;
-    region_.for_each_set([&](std::size_t i) {
+    for_each_set_sharded(exec, region_, [&](std::size_t i, std::size_t) {
       const auto v = static_cast<NodeId>(i);
       const bool stays = marked_only_.test(i) &&
                          !rule1_would_unmark(graph_, marked_only_, key, v);
@@ -114,13 +120,13 @@ void IncrementalCds::propagate() {
     close_neighborhood(region_);
     touched_ |= region_;
     CdsWorkspace& ws = workspace();
-    if (ws.lane_neighbors.empty()) ws.lane_neighbors.resize(1);
-    std::vector<NodeId>& scratch = ws.lane_neighbors.front();
-    region_.for_each_set([&](std::size_t i) {
+    ws.reserve_neighbor_lanes(exec_.lanes(),
+                              static_cast<std::size_t>(graph_.max_degree()));
+    for_each_set_sharded(exec, region_, [&](std::size_t i, std::size_t lane) {
       const auto v = static_cast<NodeId>(i);
       const bool stays = after_rule1_.test(i) &&
                          !rule2_would_unmark(graph_, after_rule1_, key, form, v,
-                                             scratch);
+                                             ws.lane_neighbors[lane]);
       final_.set(i, stays);
     });
   }

@@ -54,15 +54,17 @@ struct EdgeDelta {
 /// semantics has the per-stage neighborhood guarantee. Gateways therefore
 /// match compute_cds(..., {.strategy = kSimultaneous, .clique_policy = ...}).
 ///
-/// advance reuses member scratch buffers; steady-state calls allocate
-/// nothing.
+/// advance reuses member scratch buffers and sizes every lane's Rule 2
+/// buffer before its region pass shards; steady-state calls allocate
+/// nothing once those buffers have reached their high-water marks.
 class IncrementalCds {
  public:
-  /// `exec` controls how the initial full computation runs: with an
-  /// executor, it shards its marking and rule passes across the executor's
-  /// workers — localized updates always run serially (their regions are
-  /// small by construction). Both referents of `exec` are borrowed and must
-  /// outlive this object; results are bit-identical for every executor.
+  /// `exec` controls how the passes run: with an executor, the initial full
+  /// computation shards its marking and rule passes across the executor's
+  /// workers, and each localized update shards its three region passes the
+  /// same way (the neighbourhood closures that grow the regions stay
+  /// serial). Both referents of `exec` are borrowed and must outlive this
+  /// object; results are bit-identical for every executor.
   ///
   /// `stability` seeds the per-node churn estimates for RuleSet::kSEL; an
   /// empty vector means "no churn observed yet" (all zeros). Ignored — and

@@ -7,9 +7,10 @@
 // The node range can therefore be sharded across workers with no
 // synchronization beyond the fork/join, and the result is bit-identical to
 // the serial pass regardless of worker count or scheduling order, provided
-// shards never write the same memory. The kernels in marking/rules/rule_k
-// guarantee that by aligning shard boundaries to 64-bit bitset words: a
-// shard [begin, end) only touches output words [begin/64, end/64).
+// shards never write the same memory. The marking pass, the rule passes and
+// the localized engines' region passes guarantee that by aligning shard
+// boundaries to 64-bit bitset words: a shard [begin, end) only touches
+// output words [begin/64, end/64).
 //
 // The core layer only sees this minimal `Executor` interface; the concrete
 // multi-threaded implementation is sim/ThreadPool (which derives from it),
@@ -18,6 +19,8 @@
 
 #include <cstddef>
 #include <type_traits>
+
+#include "core/bitset.hpp"
 
 namespace pacds {
 
@@ -79,6 +82,22 @@ inline void run_sharded(Executor* exec, std::size_t count, std::size_t align,
   } else if (count > 0) {
     body(0, count, 0);
   }
+}
+
+/// Calls `decide(i, lane)` for every set bit i of `nodes`, in word-aligned
+/// shards on `exec` (inline, lane 0, when null). A decision may write bit i
+/// of any bitset as wide as `nodes` — a shard's writes stay inside its own
+/// 64-bit words — and must read only state no decision of this call
+/// writes. The one loop behind every sharded stage: the simultaneous rule
+/// passes over the marked set and the localized engines' region passes.
+template <typename Decide>
+void for_each_set_sharded(Executor* exec, const DynBitset& nodes,
+                          const Decide& decide) {
+  auto body = [&](std::size_t begin, std::size_t end, std::size_t lane) {
+    nodes.for_each_set_in_range(begin, end,
+                                [&](std::size_t i) { decide(i, lane); });
+  };
+  run_sharded(exec, nodes.size(), DynBitset::kWordBits, body);
 }
 
 }  // namespace pacds

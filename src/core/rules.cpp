@@ -1,6 +1,7 @@
 #include "core/rules.hpp"
 
 #include <bit>
+#include <span>
 #include <vector>
 
 #include "core/verify.hpp"
@@ -49,6 +50,46 @@ bool rule1_dense_would_unmark(const Graph& g, const DenseAdjacency& dense,
   return false;
 }
 
+/// The refined Rule 2 case analysis for one pair (u, w) of marked neighbors
+/// covering v (cov_u: N(u) ⊆ N(v) ∪ N(w), cov_w symmetric).
+/// Case 1: neither competitor covered -> v yields unconditionally.
+/// Case 2: exactly one covered        -> v yields iff it loses to that one.
+/// Case 3: both covered               -> v yields iff strict key-min.
+bool rule2_refined_cases(const PriorityKey& key, NodeId v, NodeId u, NodeId w,
+                         bool cov_u, bool cov_w) {
+  if (!cov_u && !cov_w) return true;
+  if (cov_u && !cov_w) return key.less(v, u);
+  if (cov_w && !cov_u) return key.less(v, w);
+  return key.less(v, u) && key.less(v, w);
+}
+
+/// Rule 2 in either form over dense rows, shared by the flat dense sweep
+/// and simultaneous pass: true iff some pair of v's marked neighbors
+/// `cands` covers `vrow` = N(v) and passes the form's key test. Each pair
+/// sees the same booleans as rule2_would_unmark's merges.
+bool rule2_dense_fires(const PriorityKey& key, Rule2Form form, NodeId v,
+                       const DynBitset& vrow,
+                       std::span<const Rule2Candidate> cands) {
+  const simd::Word* rv = vrow.words().data();
+  const std::size_t nwords = vrow.words().size();
+  const bool simple = form == Rule2Form::kSimple;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Rule2Candidate& u = cands[i];
+    for (std::size_t j = i + 1; j < cands.size(); ++j) {
+      const Rule2Candidate& w = cands[j];
+      if (!simd::is_subset_union(rv, u.row, w.row, nwords)) continue;
+      if (simple ? key.is_min_of_three(v, u.id, w.id)
+                 : rule2_refined_cases(
+                       key, v, u.id, w.id,
+                       simd::is_subset_union(u.row, rv, w.row, nwords),
+                       simd::is_subset_union(w.row, u.row, rv, nwords))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 /// Dense-row twin of rule2_would_unmark (v already known marked). The
 /// candidates are v's marked neighbors in ascending id order, read as
 /// N(v) ∧ marked word by word; the pair decision is existential, so the
@@ -81,20 +122,17 @@ const DenseAdjacency* synced_dense(CdsWorkspace* ws, const Graph& g) {
 
 /// One simultaneous pass: `fires(v, lane)` is evaluated for every marked v
 /// against the frozen input `marked`, and the nodes that fire are cleared
-/// in `next`. Decisions read only frozen state, so the node range is split
-/// across `exec` in word-aligned shards (each clears bits inside its own
-/// words of `next`) and the result is bit-identical to the serial pass for
-/// any thread count. Callers pick `fires` once per pass.
+/// in `next`. Decisions read only frozen state, so the marked set is split
+/// across `exec` in word-aligned shards (for_each_set_sharded) and the
+/// result is bit-identical to the serial pass for any thread count. Callers
+/// pick `fires` once per pass.
 template <class Fires>
 void sharded_pass(const DynBitset& marked, Executor* exec, DynBitset& next,
                   const Fires& fires) {
   next = marked;
-  auto body = [&](std::size_t begin, std::size_t end, std::size_t lane) {
-    marked.for_each_set_in_range(begin, end, [&](std::size_t i) {
-      if (fires(static_cast<NodeId>(i), lane)) next.reset(i);
-    });
-  };
-  run_sharded(exec, marked.size(), DynBitset::kWordBits, body);
+  for_each_set_sharded(exec, marked, [&](std::size_t i, std::size_t lane) {
+    if (fires(static_cast<NodeId>(i), lane)) next.reset(i);
+  });
 }
 
 /// One sweep in ascending key order, each removal taking effect at once.
@@ -159,19 +197,6 @@ CdsWorkspace& convenience_workspace() {
   return ws;
 }
 
-/// The refined Rule 2 case analysis for one pair (u, w) of marked neighbors
-/// covering v (cov_u: N(u) ⊆ N(v) ∪ N(w), cov_w symmetric).
-/// Case 1: neither competitor covered -> v yields unconditionally.
-/// Case 2: exactly one covered        -> v yields iff it loses to that one.
-/// Case 3: both covered               -> v yields iff strict key-min.
-bool rule2_refined_cases(const PriorityKey& key, NodeId v, NodeId u, NodeId w,
-                         bool cov_u, bool cov_w) {
-  if (!cov_u && !cov_w) return true;
-  if (cov_u && !cov_w) return key.less(v, u);
-  if (cov_w && !cov_u) return key.less(v, w);
-  return key.less(v, u) && key.less(v, w);
-}
-
 }  // namespace
 
 bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
@@ -203,29 +228,6 @@ bool rule2_would_unmark(const Graph& g, const DynBitset& marked,
                         const PriorityKey& key, Rule2Form form, NodeId v) {
   std::vector<NodeId> scratch;
   return rule2_would_unmark(g, marked, key, form, v, scratch);
-}
-
-bool rule2_dense_fires(const PriorityKey& key, Rule2Form form, NodeId v,
-                       const DynBitset& vrow,
-                       std::span<const Rule2Candidate> cands) {
-  const simd::Word* rv = vrow.words().data();
-  const std::size_t nwords = vrow.words().size();
-  const bool simple = form == Rule2Form::kSimple;
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const Rule2Candidate& u = cands[i];
-    for (std::size_t j = i + 1; j < cands.size(); ++j) {
-      const Rule2Candidate& w = cands[j];
-      if (!simd::is_subset_union(rv, u.row, w.row, nwords)) continue;
-      if (simple ? key.is_min_of_three(v, u.id, w.id)
-                 : rule2_refined_cases(
-                       key, v, u.id, w.id,
-                       simd::is_subset_union(u.row, rv, w.row, nwords),
-                       simd::is_subset_union(w.row, u.row, rv, nwords))) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 bool rule_k_would_unmark(const Graph& g, const DynBitset& marked,

@@ -30,7 +30,6 @@
 // bench/extension_rule_k measures.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -100,19 +99,12 @@ struct RuleConfig {
 
 // ---- Single-node decisions (distributed view) ---------------------------
 // Each predicate answers: "given the current marks, would node v unmark
-// itself by this rule?" They are the building blocks of every strategy and
-// are exposed for tests and for the incremental/localized updater.
+// itself by this rule?" They are the building blocks of every strategy;
+// the localized engines (IncrementalCds, TiledEngine) run them over their
+// regions through for_each_set_sharded.
 
 [[nodiscard]] bool rule1_would_unmark(const Graph& g, const DynBitset& marked,
                                       const PriorityKey& key, NodeId v);
-
-/// Rule 2 in either form over dense rows, shared by the flat passes and
-/// the tile kernels: true iff some pair of v's marked neighbors `cands`
-/// covers `vrow` = N(v) and passes the form's key test. Each pair sees the
-/// same booleans as rule2_would_unmark's merges.
-[[nodiscard]] bool rule2_dense_fires(const PriorityKey& key, Rule2Form form,
-                                     NodeId v, const DynBitset& vrow,
-                                     std::span<const Rule2Candidate> cands);
 
 /// Rule 2 in either form. `scratch` receives v's marked neighbors (contents
 /// clobbered), so per-node evaluation in hot loops allocates nothing; the

@@ -1,30 +1,50 @@
 #include "core/tiles.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <stdexcept>
 
-#include "core/rules.hpp"
-
 namespace pacds {
+
+namespace {
+
+/// Tile index along one axis of the cell holding `coord`, clamped to
+/// [0, count) before the cast so a far-off coordinate cannot overflow int.
+int axis_index(double coord, double side, int count) noexcept {
+  return static_cast<int>(
+      std::clamp(std::floor(coord / side), 0.0, static_cast<double>(count - 1)));
+}
+
+}  // namespace
 
 void TileGrid::reset(double width, double height, double radius, int requested,
                      std::size_t n_hosts) {
   radius_ = radius > 0.0 ? radius : 1.0;
+  // Per-axis counts stay in double until they are capped: on a wide field
+  // the quotient can pass INT_MAX.
   const double min_side = 2.0 * radius_;
-  const int max_x = std::max(1, static_cast<int>(std::floor(width / min_side)));
-  const int max_y =
-      std::max(1, static_cast<int>(std::floor(height / min_side)));
-  if (requested <= 0) {
-    // Auto: the finest grid the halo constraint allows.
-    tiles_x_ = max_x;
-    tiles_y_ = max_y;
-  } else {
-    const auto per_axis = static_cast<int>(
-        std::floor(std::sqrt(static_cast<double>(requested))));
-    tiles_x_ = std::clamp(per_axis, 1, max_x);
-    tiles_y_ = std::clamp(per_axis, 1, max_y);
+  double nx = std::max(1.0, std::floor(width / min_side));
+  double ny = std::max(1.0, std::floor(height / min_side));
+  if (requested > 0) {
+    // Roughly `requested` tiles: a square grid, clamped per axis.
+    const double per_axis =
+        std::floor(std::sqrt(static_cast<double>(requested)));
+    nx = std::clamp(per_axis, 1.0, nx);
+    ny = std::clamp(per_axis, 1.0, ny);
   }
+  // At most 4n + 64 tiles (LinkBuilder's cell-box bound), so the owned
+  // lists grow with the host count, not with the field's area. Shrinking
+  // both axes by the same factor keeps the tiles' shape; gateways are the
+  // same for every grid.
+  const double cap = std::min(4.0 * static_cast<double>(n_hosts) + 64.0,
+                              static_cast<double>(INT_MAX));
+  if (nx * ny > cap) {
+    nx = std::clamp(std::floor(nx * std::sqrt(cap / (nx * ny))), 1.0, cap);
+    ny = std::clamp(std::floor(cap / nx), 1.0, ny);
+  }
+  tiles_x_ = static_cast<int>(nx);
+  tiles_y_ = static_cast<int>(ny);
   side_x_ = width > 0.0 ? width / tiles_x_ : 1.0;
   side_y_ = height > 0.0 ? height / tiles_y_ : 1.0;
   const auto count = static_cast<std::size_t>(tile_count());
@@ -36,23 +56,8 @@ void TileGrid::reset(double width, double height, double radius, int requested,
 }
 
 int TileGrid::tile_of(Vec2 p) const noexcept {
-  const int ix = std::clamp(
-      static_cast<int>(std::floor(p.x / side_x_)), 0, tiles_x_ - 1);
-  const int iy = std::clamp(
-      static_cast<int>(std::floor(p.y / side_y_)), 0, tiles_y_ - 1);
-  return iy * tiles_x_ + ix;
-}
-
-double TileGrid::dist_to_rect(int t, Vec2 p) const noexcept {
-  const int ix = t % tiles_x_;
-  const int iy = t / tiles_x_;
-  const double x0 = static_cast<double>(ix) * side_x_;
-  const double y0 = static_cast<double>(iy) * side_y_;
-  const double dx =
-      p.x < x0 ? x0 - p.x : (p.x > x0 + side_x_ ? p.x - (x0 + side_x_) : 0.0);
-  const double dy =
-      p.y < y0 ? y0 - p.y : (p.y > y0 + side_y_ ? p.y - (y0 + side_y_) : 0.0);
-  return std::sqrt(dx * dx + dy * dy);
+  return axis_index(p.y, side_y_, tiles_y_) * tiles_x_ +
+         axis_index(p.x, side_x_, tiles_x_);
 }
 
 void TileGrid::assign_all(const std::vector<Vec2>& positions) {
@@ -79,152 +84,13 @@ void TileGrid::move_host(NodeId v, Vec2 old_pos, Vec2 new_pos) {
 }
 
 void TileGrid::mark_dirty_around(Vec2 p, double dist, DynBitset& dirty) const {
-  const int ix0 = std::clamp(
-      static_cast<int>(std::floor((p.x - dist) / side_x_)), 0, tiles_x_ - 1);
-  const int ix1 = std::clamp(
-      static_cast<int>(std::floor((p.x + dist) / side_x_)), 0, tiles_x_ - 1);
-  const int iy0 = std::clamp(
-      static_cast<int>(std::floor((p.y - dist) / side_y_)), 0, tiles_y_ - 1);
-  const int iy1 = std::clamp(
-      static_cast<int>(std::floor((p.y + dist) / side_y_)), 0, tiles_y_ - 1);
+  const int ix0 = axis_index(p.x - dist, side_x_, tiles_x_);
+  const int ix1 = axis_index(p.x + dist, side_x_, tiles_x_);
+  const int iy0 = axis_index(p.y - dist, side_y_, tiles_y_);
+  const int iy1 = axis_index(p.y + dist, side_y_, tiles_y_);
   for (int iy = iy0; iy <= iy1; ++iy) {
     for (int ix = ix0; ix <= ix1; ++ix) {
       dirty.set(static_cast<std::size_t>(iy * tiles_x_ + ix));
-    }
-  }
-}
-
-void build_tile_local(const Graph& g, const TileGrid& grid,
-                      const std::vector<Vec2>& positions, int t,
-                      TileLaneScratch& lane, TileLocal& tl) {
-  const double halo = 2.0 * grid.radius();
-  const int tx = grid.tiles_x();
-  const int ty = grid.tiles_y();
-  const int ix = t % tx;
-  const int iy = t / tx;
-  tl.locals.clear();
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      const int nx = ix + dx;
-      const int ny = iy + dy;
-      if (nx < 0 || nx >= tx || ny < 0 || ny >= ty) continue;
-      const int nt = ny * tx + nx;
-      for (const NodeId v : grid.owned(nt)) {
-        if (nt == t ||
-            grid.dist_to_rect(t, positions[static_cast<std::size_t>(v)]) <=
-                halo) {
-          tl.locals.push_back(v);
-        }
-      }
-    }
-  }
-  // Tiles are disjoint, so no duplicates; sorting makes local ascending
-  // order match global ascending order.
-  std::sort(tl.locals.begin(), tl.locals.end());
-  const std::size_t count = tl.locals.size();
-
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  if (lane.local_of.size() < n) {
-    lane.local_of.resize(n);
-    lane.epoch.resize(n, 0);
-  }
-  const std::uint64_t e = ++lane.current_epoch;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto gi = static_cast<std::size_t>(tl.locals[i]);
-    lane.local_of[gi] = static_cast<std::int32_t>(i);
-    lane.epoch[gi] = e;
-  }
-
-  tl.is_owned.resize(count);
-  if (tl.rows.size() < count) tl.rows.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    DynBitset& row = tl.rows[i];
-    row.resize_clear(count);
-    for (const NodeId x : g.neighbors(tl.locals[i])) {
-      const auto gx = static_cast<std::size_t>(x);
-      if (lane.epoch[gx] == e) {
-        row.set(static_cast<std::size_t>(lane.local_of[gx]));
-      }
-    }
-    tl.is_owned[i] = grid.tile_of(positions[static_cast<std::size_t>(
-                         tl.locals[i])]) == t
-                         ? 1
-                         : 0;
-  }
-  tl.out.resize_clear(count);
-}
-
-void tile_marking_stage(TileLocal& tl) {
-  const std::size_t count = tl.locals.size();
-  tl.out.resize_clear(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (tl.is_owned[i] == 0) continue;
-    const DynBitset& row = tl.rows[i];
-    bool marks = false;
-    for (std::size_t u = row.find_first(); u < count; u = row.find_next(u)) {
-      if (!row.is_subset_of_except(tl.rows[u], u)) {
-        marks = true;
-        break;
-      }
-    }
-    if (marks) tl.out.set(i);
-  }
-}
-
-void tile_rule1_stage(const PriorityKey& key, const DynBitset& marked,
-                      TileLocal& tl) {
-  const std::size_t count = tl.locals.size();
-  tl.out.resize_clear(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (tl.is_owned[i] == 0) continue;
-    const NodeId v = tl.locals[i];
-    if (!marked.test(static_cast<std::size_t>(v))) continue;
-    const DynBitset& row = tl.rows[i];
-    bool fires = false;
-    for (std::size_t u = row.find_first(); u < count; u = row.find_next(u)) {
-      const NodeId gu = tl.locals[u];
-      if (!marked.test(static_cast<std::size_t>(gu))) continue;
-      if (key.less(v, gu) && row.is_subset_of_except(tl.rows[u], u)) {
-        fires = true;
-        break;
-      }
-    }
-    if (!fires) tl.out.set(i);
-  }
-}
-
-void tile_rule2_stage(const PriorityKey& key, bool form_simple,
-                      const DynBitset& in, TileLocal& tl) {
-  const Rule2Form form =
-      form_simple ? Rule2Form::kSimple : Rule2Form::kRefined;
-  const std::size_t count = tl.locals.size();
-  tl.out.resize_clear(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (tl.is_owned[i] == 0) continue;
-    const NodeId v = tl.locals[i];
-    if (!in.test(static_cast<std::size_t>(v))) continue;
-    const DynBitset& row = tl.rows[i];
-    tl.scratch.clear();
-    for (std::size_t u = row.find_first(); u < count; u = row.find_next(u)) {
-      const NodeId gu = tl.locals[u];
-      if (in.test(static_cast<std::size_t>(gu))) {
-        tl.scratch.push_back({gu, tl.rows[u].words().data()});
-      }
-    }
-    // Candidate rows are complete (candidates sit within r of the tile
-    // rectangle), so the local test decides as the flat one does.
-    if (!rule2_dense_fires(key, form, v, row, tl.scratch)) tl.out.set(i);
-  }
-}
-
-void scatter_tile_out(const TileLocal& tl, DynBitset& global) {
-  for (std::size_t i = 0; i < tl.locals.size(); ++i) {
-    if (tl.is_owned[i] == 0) continue;
-    const auto gi = static_cast<std::size_t>(tl.locals[i]);
-    if (tl.out.test(i)) {
-      global.set(gi);
-    } else {
-      global.reset(gi);
     }
   }
 }

@@ -1,13 +1,12 @@
 #pragma once
-// Spatial tiling of the simulation field for locality-sharded CDS
-// maintenance at large n. The global Graph stays CSR (O(n + m) — graph.hpp);
-// dense DynBitset adjacency rows, which make every coverage test
-// word-parallel, are materialized only *per tile* over the tile's local
-// universe (owned hosts plus a 2r halo), never globally. One tile therefore
-// costs O(L²/64) bits with L = |tile| + |halo| regardless of n, which is the
-// peak-memory bound the tiled engine advertises.
+// Spatial tiling of the simulation field for the tiled engine's dirt
+// tracking (sim/tiled_engine.hpp). Tiles only say *which* hosts re-decide:
+// each interval the engine re-runs the three simultaneous stages for the
+// hosts owned by the dirty tiles, on the global CSR graph (graph.hpp), so
+// the tiling keeps no rows of its own and adds only the owned lists to
+// the engine's O(n + m) memory.
 //
-// Correctness contract (DESIGN.md §9): every stage decision of the
+// Correctness contract (DESIGN.md §10): every stage decision of the
 // simultaneous pipeline is a pure function of inputs within a fixed radius
 // of the deciding node —
 //
@@ -18,28 +17,20 @@
 // so a tile whose rectangle is farther than 3r from every changed position
 // (and every changed key's position) provably keeps all three of its
 // decisions, and recomputing a superset of the affected tiles is always
-// sound. Within a tile, kernels run on the local dense rows; rows are
-// complete (equal to the global neighborhood) for every node within r of
-// the tile rectangle, which covers every row the kernels read: deciding
-// nodes are owned (inside the rectangle) and the rows of their neighbors
-// sit within r of it. Halo nodes in (r, 2r] appear only as bits in other
-// rows. One ring of neighboring tiles supplies the whole 2r halo because
-// the tile side never drops below 2r (enforced by TileGrid::reset).
+// sound. The tile side never drops below 2r (enforced by TileGrid::reset),
+// which keeps a 3r dirt box within a few tiles of its centre.
 //
 // The tiling stays 2D (xy) even on a 3D field: xy distance lower-bounds 3D
 // distance, so every ball(v, kr) above projects into the same xy disc and
-// the rectangle-distance dirt tests and halo memberships remain supersets
-// of the true 3D ones. A deep field wastes some locality (a column of
-// hosts shares a tile) but never correctness.
+// the bounding-box dirt tests remain supersets of the true 3D ones. A deep
+// field wastes some locality (a column of hosts shares a tile) but never
+// correctness.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/bitset.hpp"
 #include "core/graph.hpp"
-#include "core/keys.hpp"
-#include "core/workspace.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -51,8 +42,9 @@ namespace pacds {
 class TileGrid {
  public:
   /// Lays out the grid: `requested` tiles total (0 = as many as the side
-  /// constraint allows), clamped so each tile side stays >= 2 * radius —
-  /// the halo-width requirement above. Owned lists become empty.
+  /// constraint allows), clamped so each tile side stays >= 2 * radius and
+  /// the grid holds at most 4 * n_hosts + 64 tiles (both axes shrink by
+  /// the same factor past that). Owned lists become empty.
   void reset(double width, double height, double radius, int requested,
              std::size_t n_hosts);
 
@@ -63,9 +55,6 @@ class TileGrid {
 
   /// Tile index owning position `p` (indices clamped to the grid).
   [[nodiscard]] int tile_of(Vec2 p) const noexcept;
-
-  /// Euclidean distance from `p` to tile `t`'s rectangle (0 inside).
-  [[nodiscard]] double dist_to_rect(int t, Vec2 p) const noexcept;
 
   /// Files every host under its position's tile (initialization).
   void assign_all(const std::vector<Vec2>& positions);
@@ -92,61 +81,5 @@ class TileGrid {
   double radius_ = 0.0;
   std::vector<std::vector<NodeId>> owned_;
 };
-
-/// Per-tile scratch rebuilt each interval the tile is dirty: the sorted
-/// local universe (owned + 2r halo), its dense local adjacency rows, and
-/// the stage-decision output buffer. Persistent so steady-state rebuilds
-/// reuse capacity and allocate nothing.
-struct TileLocal {
-  /// Global ids of the local universe, ascending (so local ascending order
-  /// coincides with global ascending order — kernels visit pairs in the
-  /// same order as the flat passes).
-  std::vector<NodeId> locals;
-  /// is_owned[i] != 0 iff locals[i] is owned by this tile.
-  std::vector<std::uint8_t> is_owned;
-  /// Local L×L adjacency rows (open neighborhoods).
-  std::vector<DynBitset> rows;
-  /// Stage output: decision bit per *owned* local index (halo bits unused).
-  DynBitset out;
-  /// Rule 2 candidate buffer (marked neighbors with their local rows).
-  std::vector<Rule2Candidate> scratch;
-};
-
-/// Per-executor-lane global→local translation used while building rows.
-/// Epoch-stamped so consecutive builds skip the O(n) clear.
-struct TileLaneScratch {
-  std::vector<std::int32_t> local_of;
-  std::vector<std::uint64_t> epoch;
-  std::uint64_t current_epoch = 0;
-};
-
-/// Rebuilds `tl` for tile `t`: gathers the local universe from t and its
-/// one-ring (every host within 2r of t's rectangle), then materializes the
-/// local dense rows from the global CSR graph.
-void build_tile_local(const Graph& g, const TileGrid& grid,
-                      const std::vector<Vec2>& positions, int t,
-                      TileLaneScratch& lane, TileLocal& tl);
-
-// Stage kernels: each fills tl.out with the stage's decision for every
-// owned local index, reading frozen global stage input where needed.
-// Decision-identical to the flat marking/rule passes by construction.
-
-/// Marking: out bit = marks_itself(v).
-void tile_marking_stage(TileLocal& tl);
-
-/// Rule 1: out bit = marked(v) && !rule1_would_unmark(v) against `marked`.
-void tile_rule1_stage(const PriorityKey& key, const DynBitset& marked,
-                      TileLocal& tl);
-
-/// Rule 2 (either form): out bit = in(v) && !rule2_would_unmark(v) against
-/// the post-Rule-1 set `in`, decided by rule2_dense_fires on the local rows
-/// as the flat dense passes decide it. `form_simple` selects the
-/// min-of-three form.
-void tile_rule2_stage(const PriorityKey& key, bool form_simple,
-                      const DynBitset& in, TileLocal& tl);
-
-/// Copies tl.out's owned decisions into the global stage bitset (serial —
-/// the one synchronization point between parallel stage computes).
-void scatter_tile_out(const TileLocal& tl, DynBitset& global);
 
 }  // namespace pacds

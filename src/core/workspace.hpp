@@ -65,6 +65,16 @@ struct CdsWorkspace {
     if (lane_candidates.size() < lanes) lane_candidates.resize(lanes);
     if (lane_rule_k.size() < lanes) lane_rule_k.resize(lanes);
   }
+
+  /// As above, with room for `capacity` ids in every lane's marked-neighbor
+  /// buffer. The localized region passes reserve the graph's maximum degree
+  /// before they shard: which lane claims which chunk depends on
+  /// scheduling, so a buffer grown on demand could allocate in any warm
+  /// interval.
+  void reserve_neighbor_lanes(std::size_t lanes, std::size_t capacity) {
+    reserve_lanes(lanes);
+    for (std::vector<NodeId>& buffer : lane_neighbors) buffer.reserve(capacity);
+  }
 };
 
 /// How a pipeline entry point should execute: which executor shards the

@@ -11,7 +11,7 @@
 // r * min(1, 10^(fade_db / (10 * path_loss_exp))), i.e. fading can only
 // shrink range below the nominal radius, never extend it. That keeps the
 // nominal radius a hard upper bound on link length — the contract the
-// SpatialGrid cell ring and the tile halo radii are built on. (Physically:
+// SpatialGrid cell ring and the tile dirt radii are built on. (Physically:
 // the nominal radius is the best-case range and the log-normal shadow only
 // attenuates; upward fades are clipped.)
 

@@ -42,11 +42,11 @@ enum class SimEngine : std::uint8_t {
   /// Persistent graph + localized CDS updates (spatial-grid edge deltas fed
   /// to IncrementalCds). validate_sim_config refuses it where not eligible.
   kIncremental,
-  /// Spatial tiling: the field is cut into tiles (side >= 2 * radius), each
-  /// interval recomputes only the tiles near a change, and per-tile dense
-  /// adjacency rows keep coverage tests word-parallel without the global
-  /// O(n²) footprint. Bit-identical to the other engines where eligible
-  /// (see tiled_engine_eligible); validate_sim_config refuses it elsewhere.
+  /// Spatial tiling: the field is cut into tiles (side >= 2 * radius), and
+  /// each interval re-decides only the hosts owned by tiles near a change,
+  /// on the persistent CSR graph. Bit-identical to the other engines where
+  /// eligible (see tiled_engine_eligible); validate_sim_config refuses it
+  /// elsewhere.
   kTiled,
 };
 
@@ -158,7 +158,8 @@ struct SimConfig {
 
   /// Requested tile count for SimEngine::kTiled (0 = auto: the finest grid
   /// whose tile side stays >= 2 * radius; requests are clamped to that same
-  /// constraint). Gateways are bit-identical for every value.
+  /// constraint, and every grid to 4 * n_hosts + 64 tiles). Gateways are
+  /// bit-identical for every value.
   int tiles = 0;
 
   /// Worker threads for the CDS passes *inside* one interval (marking +

@@ -14,19 +14,15 @@ void TiledEngine::initialize(const std::vector<Vec2>& positions) {
   tiles_.reset(config_.field_width, config_.field_height, config_.radius,
                config_.tiles, positions.size());
   tiles_.assign_all(positions);
-  tile_local_.resize(static_cast<std::size_t>(tiles_.tile_count()));
-  // Sized now: which lane claims which tile depends on scheduling.
-  const auto n = positions.size();
-  lane_scratch_.assign(pool_ ? pool_->max_lanes() : 1,
-                       {std::vector<std::int32_t>(n),
-                        std::vector<std::uint64_t>(n), 0});
 
+  const auto n = positions.size();
   marked_.resize_clear(n);
   after_rule1_.resize_clear(n);
   final_.resize_clear(n);
   gateways_.resize_clear(n);
+  region_.resize_clear(n);
   dirty_tiles_.resize_clear(static_cast<std::size_t>(tiles_.tile_count()));
-  for (std::size_t t = 0; t < dirty_tiles_.size(); ++t) dirty_tiles_.set(t);
+  dirty_tiles_.set_all();
 }
 
 void TiledEngine::dirty_changed_keys(const std::vector<Vec2>& positions,
@@ -41,48 +37,29 @@ void TiledEngine::dirty_changed_keys(const std::vector<Vec2>& positions,
   before = now;
 }
 
-void TiledEngine::run_stages(const std::vector<Vec2>& positions,
-                             const std::vector<double>& keys) {
+void TiledEngine::run_stages(const std::vector<double>& keys) {
   const bool needs_energy = uses_energy(config_.rule_set);
   const StabilityTracker* tracker = links_.tracker();
-  const PriorityKey key(key_kind_of(config_.rule_set), *graph_,
+  const Graph& g = *graph_;
+  const PriorityKey key(key_kind_of(config_.rule_set), g,
                         needs_energy ? &keys : nullptr,
                         tracker ? &tracker->stability() : nullptr);
-  dirty_list_.clear();
-  last_touched_ = 0;
+  region_.reset_all();
   dirty_tiles_.for_each_set([&](std::size_t t) {
-    dirty_list_.push_back(static_cast<int>(t));
-    last_touched_ += tiles_.owned(static_cast<int>(t)).size();
+    for (const NodeId v : tiles_.owned(static_cast<int>(t))) {
+      region_.set(static_cast<std::size_t>(v));
+    }
   });
+  last_touched_ = region_.count();
   Executor* exec = pool_ ? &*pool_ : nullptr;
 
-  const auto for_each_dirty = [&](auto&& per_tile) {
-    auto chunk = [&](std::size_t begin, std::size_t end, std::size_t lane) {
-      for (std::size_t k = begin; k < end; ++k) {
-        per_tile(dirty_list_[k], lane);
-      }
-    };
-    run_sharded(exec, dirty_list_.size(), 1, chunk);
-  };
-  const auto scatter_dirty = [&](DynBitset& global) {
-    for (const int t : dirty_list_) {
-      scatter_tile_out(tile_local_[static_cast<std::size_t>(t)], global);
-    }
-  };
-
-  // Local universes and dense rows, once per dirty tile per interval; all
-  // three stages reuse them.
-  for_each_dirty([&](int t, std::size_t lane) {
-    build_tile_local(*graph_, tiles_, positions, t, lane_scratch_[lane],
-                     tile_local_[static_cast<std::size_t>(t)]);
-  });
-
+  // Each stage reads the finished bitset of the one before it and writes
+  // bit i of its own, so the region shards across the pool.
   {
     const obs::PhaseTimer timer(metrics_, obs::Phase::kMarking);
-    for_each_dirty([&](int t, std::size_t /*lane*/) {
-      tile_marking_stage(tile_local_[static_cast<std::size_t>(t)]);
+    for_each_set_sharded(exec, region_, [&](std::size_t i, std::size_t) {
+      marked_.set(i, marks_itself(g, static_cast<NodeId>(i)));
     });
-    scatter_dirty(marked_);
   }
   {
     const obs::PhaseTimer timer(metrics_, obs::Phase::kRules);
@@ -90,16 +67,21 @@ void TiledEngine::run_stages(const std::vector<Vec2>& positions,
       after_rule1_ = marked_;
       final_ = marked_;
     } else {
-      for_each_dirty([&](int t, std::size_t /*lane*/) {
-        tile_rule1_stage(key, marked_, tile_local_[static_cast<std::size_t>(t)]);
+      for_each_set_sharded(exec, region_, [&](std::size_t i, std::size_t) {
+        after_rule1_.set(i, marked_.test(i) &&
+                                !rule1_would_unmark(g, marked_, key,
+                                                    static_cast<NodeId>(i)));
       });
-      scatter_dirty(after_rule1_);
-      const bool simple = rule2_form_of(config_.rule_set) == Rule2Form::kSimple;
-      for_each_dirty([&](int t, std::size_t /*lane*/) {
-        tile_rule2_stage(key, simple, after_rule1_,
-                         tile_local_[static_cast<std::size_t>(t)]);
+      const Rule2Form form = rule2_form_of(config_.rule_set);
+      workspace_.reserve_neighbor_lanes(
+          pool_ ? pool_->max_lanes() : 1,
+          static_cast<std::size_t>(g.max_degree()));
+      for_each_set_sharded(exec, region_, [&](std::size_t i, std::size_t lane) {
+        final_.set(i, after_rule1_.test(i) &&
+                          !rule2_would_unmark(g, after_rule1_, key, form,
+                                              static_cast<NodeId>(i),
+                                              workspace_.lane_neighbors[lane]));
       });
-      scatter_dirty(final_);
     }
   }
   gateways_ = final_;
@@ -108,7 +90,7 @@ void TiledEngine::run_stages(const std::vector<Vec2>& positions,
     metrics_->add(obs::Counter::kNodesTouched,
                   static_cast<std::uint64_t>(last_touched_));
   }
-  dirty_tiles_.resize_clear(dirty_tiles_.size());
+  dirty_tiles_.reset_all();
 }
 
 void TiledEngine::update(const std::vector<Vec2>& positions,
@@ -122,7 +104,7 @@ void TiledEngine::update(const std::vector<Vec2>& positions,
       if (uses_energy(config_.rule_set)) prev_keys_ = keys;
       if (tracker) prev_stab_ = tracker->stability();
       if (metrics_ != nullptr) metrics_->add(obs::Counter::kFullRefreshes);
-      run_stages(positions, keys);
+      run_stages(keys);
       return;
     }
     {
@@ -168,7 +150,7 @@ void TiledEngine::update(const std::vector<Vec2>& positions,
       // (DESIGN.md §11 spells out the argument).
       dirty_changed_keys(positions, keys, prev_keys_);
     }
-    run_stages(positions, keys);
+    run_stages(keys);
   });
 }
 

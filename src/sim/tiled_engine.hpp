@@ -6,20 +6,21 @@
 //      IncrementalEngine (spatial-grid re-file + sorted neighbor diff) and
 //      applies it to the global graph;
 //   2. marks dirty every tile whose rectangle intersects the 3r bounding
-//      box of a changed position or of a host whose quantized key changed —
-//      a superset of the tiles any stage decision can flip in (DESIGN.md
-//      §9, locality radii in core/tiles.hpp);
+//      box of a changed position, or the 2r box of a marked host whose
+//      quantized key changed — a superset of the tiles any stage decision
+//      can flip in (DESIGN.md §10, locality radii in core/tiles.hpp);
 //   3. re-files moved hosts between tile owned-lists;
-//   4. runs the three simultaneous stages over the dirty tiles: each stage
-//      computes every dirty tile's owned decisions in parallel against the
-//      frozen global stage input (per-tile dense rows, built once per dirty
-//      tile per interval), then a serial scatter commits them into the
-//      global stage bitset before the next stage reads it. Clean tiles keep
-//      their bits, which the locality argument proves unchanged.
+//   4. re-decides marking, Rule 1 and Rule 2, in that order, for the hosts
+//      the dirty tiles own (the region). Each stage runs the merge
+//      predicates over the region on the global graph, sharded in
+//      word-aligned pieces across the pool (for_each_set_sharded), and
+//      writes its decisions straight into its stage bitset; the next stage
+//      reads the finished bitset. Hosts outside the region keep their
+//      bits, which the locality argument proves unchanged.
 //
 // The result is bit-identical to the flat engines for every tile count and
-// thread count wherever tiled_engine_eligible holds; peak memory is
-// O(n + m + Σ_dirty L_t²/64) instead of the global-dense O(n²/64).
+// thread count wherever tiled_engine_eligible holds; memory is O(n + m),
+// the incremental engine's plus the tiles' owned lists.
 
 #include <optional>
 #include <string>
@@ -60,19 +61,20 @@ class TiledEngine final : public LifetimeEngine {
   void dirty_changed_keys(const std::vector<Vec2>& positions,
                           const std::vector<double>& now,
                           std::vector<double>& before);
-  void run_stages(const std::vector<Vec2>& positions,
-                  const std::vector<double>& keys);
+  /// Re-decides the three stages for the dirty tiles' owned hosts, then
+  /// clears the tile dirt.
+  void run_stages(const std::vector<double>& keys);
 
   SimConfig config_;
   /// Its radio can only veto unit-disk links, never add longer ones, so the
   /// 3r/2r tile dirt radii stay valid supersets.
   MovingLinks links_;
   std::optional<ThreadPool> pool_;
+  /// Rule 2's per-lane marked-neighbour buffers.
+  CdsWorkspace workspace_;
   std::optional<Graph> graph_;
 
   TileGrid tiles_;
-  std::vector<TileLocal> tile_local_;
-  std::vector<TileLaneScratch> lane_scratch_;
 
   // Global stage state (same staging as IncrementalCds).
   DynBitset marked_;       ///< marking-process output
@@ -81,7 +83,7 @@ class TiledEngine final : public LifetimeEngine {
   DynBitset gateways_;     ///< final_ (clique policy kNone by eligibility)
 
   DynBitset dirty_tiles_;  ///< one bit per tile
-  std::vector<int> dirty_list_;
+  DynBitset region_;       ///< hosts owned by the dirty tiles
   std::size_t last_touched_ = 0;
 
   // Steady-state scratch — reused, never reallocated after warm-up.

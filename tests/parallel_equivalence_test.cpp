@@ -7,7 +7,9 @@
 //     Rule k) on random geometric graphs, serial vs. ThreadPool executors;
 //   - whole lifetime trials through SimConfig::threads, sweeping
 //     threads {1,2,3,8} x keys {ID,ND,EL1,EL2} x stay {0.5,0.95}, for both
-//     engines, comparing TrialResults and full per-interval traces.
+//     engines, comparing TrialResults and full per-interval traces; and
+//     trials at n = 2000, wide enough that every pass of all three
+//     engines splits across lanes.
 //
 // The TSAN build (PACDS_SANITIZE=thread) runs this binary to certify the
 // fork/join layer free of data races.
@@ -227,6 +229,51 @@ TEST(TrialEquivalenceTest, HardwareConcurrencyKnob) {
   const TrialResult autod = run_lifetime_trial(config, 5);
   expect_identical(serial, autod);
 }
+
+// ---- Trials wide enough to shard -------------------------------------------
+// The trials above run n <= 40, one 64-bit word: every pass is one chunk
+// and no helper lane ever runs. At n = 2000 on a 632 x 632 field (paper
+// density) a pass cuts 11 chunks at 3 lanes and 16 at 4, so the sharded
+// region passes of the incremental and tiled engines and the full
+// rebuild's simultaneous passes all split across lanes.
+
+class ShardedTrialEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<SimEngine, RuleSet>> {};
+
+TEST_P(ShardedTrialEquivalenceTest, ThreadedTrialBitIdenticalToSerial) {
+  const auto [engine, rs] = GetParam();
+  SimConfig config;
+  config.n_hosts = 2000;
+  config.field_width = 632.0;
+  config.field_height = 632.0;
+  config.rule_set = rs;
+  config.engine = engine;
+  config.cds_options.strategy = Strategy::kSimultaneous;
+  config.initial_energy = 20.0;  // keeps trials short
+  config.threads = 1;
+  SimTrace serial_trace;
+  const TrialResult serial = run_lifetime_trial(config, 29, &serial_trace);
+  for (const int threads : {3, 4}) {
+    config.threads = threads;
+    SimTrace threaded_trace;
+    const TrialResult threaded =
+        run_lifetime_trial(config, 29, &threaded_trace);
+    expect_identical(serial, threaded);
+    expect_identical(serial_trace, threaded_trace);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesKeys, ShardedTrialEquivalenceTest,
+    ::testing::Combine(::testing::Values(SimEngine::kFullRebuild,
+                                         SimEngine::kIncremental,
+                                         SimEngine::kTiled),
+                       ::testing::Values(RuleSet::kID, RuleSet::kEL2)),
+    [](const ::testing::TestParamInfo<ShardedTrialEquivalenceTest::ParamType>&
+           param_info) {
+      return to_string(std::get<0>(param_info.param)) + "_" +
+             to_string(std::get<1>(param_info.param));
+    });
 
 }  // namespace
 }  // namespace pacds

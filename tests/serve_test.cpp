@@ -342,6 +342,21 @@ TEST(ServeServerTest, CreateTickRoundTrip) {
   EXPECT_FALSE(responses[1].find("finished")->as_bool());
 }
 
+TEST(ServeServerTest, TiledTenantOnAWideFieldTicks) {
+  // This field once overflowed the tiled engine's tile count, and the
+  // server aborted before it answered either request.
+  const std::string out = serve_lines(
+      {R"({"op":"create","tenant":"w","config":{"n":30,"radius":25,)"
+       R"("engine":"tiled","strategy":"simultaneous",)"
+       R"("field_width":2317050,"field_height":2317050}})",
+       R"({"op":"tick","tenant":"w","intervals":1})"});
+  EXPECT_TRUE(records_of_type(out, "serve_error").empty()) << out;
+  const auto responses = records_of_type(out, "serve_response");
+  ASSERT_EQ(responses.size(), 2u) << out;
+  EXPECT_EQ(responses[1].find("op")->as_string(), "tick");
+  EXPECT_EQ(responses[1].find("intervals_run")->as_number(), 1.0);
+}
+
 TEST(ServeServerTest, UnknownTenantIsAnError) {
   for (const char* line :
        {R"({"op":"tick","tenant":"ghost"})", R"({"op":"status","tenant":"ghost"})",

@@ -1,8 +1,8 @@
 // The tiled engine must be interchangeable with the flat engines wherever it
 // is eligible: bit-identical TrialResults and traces across tile counts,
-// thread counts, schemes and mobility intensities — plus hand-placed halo
+// thread counts, schemes and mobility intensities — plus hand-placed tile
 // edge cases (hosts exactly on tile borders, exactly 2r from a tile
-// rectangle, cross-border moves) where an off-by-epsilon halo filter or a
+// rectangle, cross-border moves) where an off-by-epsilon dirt radius or a
 // stale ownership list would first diverge.
 
 #include "sim/tiled_engine.hpp"
@@ -103,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TiledEquivalenceTest, ShadowingRadioAcrossTileCounts) {
   // The radio's per-pair veto runs inside the tiled delta extraction; the
-  // pruned link set must still respect every halo bound (fading only ever
+  // pruned link set must still respect every dirt radius (fading only ever
   // shrinks range below the nominal radius).
   for (const int tiles : {1, 4, 16}) {
     SimConfig config = base_config();
@@ -119,7 +119,7 @@ TEST(TiledEquivalenceTest, ShadowingRadioAcrossTileCounts) {
 
 TEST(TiledEquivalenceTest, ThreeDFieldKeepsXyTilingSound) {
   // A deep field funnels whole z-columns into single xy tiles; dirt tests
-  // and halos must stay supersets (xy distance lower-bounds 3-D distance).
+  // must stay supersets (xy distance lower-bounds 3-D distance).
   SimConfig config = base_config();
   config.field_depth = 60.0;
   config.radius = 35.0;
@@ -163,7 +163,26 @@ TEST(TiledEquivalenceTest, UnquantizedKeysDirtyEverythingEveryInterval) {
   expect_matches_flat(config, 5u);
 }
 
-// ---- Halo boundary edge cases (direct engine drive) ------------------------
+TEST(TiledEquivalenceTest, WideFieldCapsTheTileCount) {
+  // 46341 tiles of side 2r per axis fit this field at r = 25; their
+  // product once wrapped int and aborted the engine. The grid is capped at
+  // 4n + 64 tiles, and the gateways stay the full rebuild's.
+  SimConfig config = base_config();
+  config.n_hosts = 30;
+  config.radius = 25.0;
+  config.field_width = 2317050.0;
+  config.field_height = 2317050.0;
+  config.connect_retries = 1;  // hosts this sparse never connect
+  expect_matches_flat(config, 43u);
+
+  TileGrid grid;
+  grid.reset(config.field_width, config.field_height, config.radius, 0, 30);
+  EXPECT_LE(grid.tile_count(), 4 * 30 + 64);
+  EXPECT_GT(grid.tiles_x(), 1);  // both axes shrink: tiles, not strips
+  EXPECT_GT(grid.tiles_y(), 1);
+}
+
+// ---- Tile boundary edge cases (direct engine drive) ------------------------
 
 // Field 600x600, radius 100: tile side is exactly 2r = 200, grid 3x3 with
 // interior borders at x,y in {200, 400}. All coordinates below are exactly
@@ -222,9 +241,10 @@ TEST(TiledHaloTest, HostExactlyOnTileBorder) {
 TEST(TiledHaloTest, HostExactlyTwoRadiiFromTileRectangle) {
   // Colinear chain where the host at x = 400 sits exactly 2r = 200 from
   // tile (0,1)'s rectangle [0,200]x[200,400]: it is the farthest host whose
-  // row can still matter to an owned decision, so the halo filter must use
-  // <= 2r, not < 2r. Dropping it would change rule decisions for the host
-  // at x = 200 (its neighbor's row would lose a bit).
+  // row can still matter to a decision that tile owns (the host at x = 200
+  // reads its neighbor's row, which holds it). Moving the chain end flips
+  // decisions across that distance, so a dirt radius short by epsilon
+  // would leave a stale decision behind.
   const SimConfig config = halo_config(5);
   const std::vector<Vec2> chain = {
       {100.0, 300.0}, {200.0, 300.0}, {300.0, 300.0},

@@ -4,11 +4,13 @@
 // hook replaces global operator new for this binary and counts allocations
 // inside an explicit window.
 //
-// The guarantee covers the serial steady state and, because localized delta
-// updates never touch the executor, also holds when an intra-interval thread
-// pool is configured (the pool only serves full refreshes). It holds while
-// hosts move, for intervals whose buffer needs the warm-up already met,
-// and for the tiled engine serial and threaded. The full-rebuild engine
+// The guarantee covers the serial steady state and also holds when an
+// intra-interval thread pool is configured: localized updates shard their
+// region passes across it, a warm pool forks and joins without touching
+// the heap, and every lane's Rule 2 buffer is sized before a pass shards,
+// since which lane decides which host depends on scheduling. It holds
+// while hosts move, for intervals whose buffer needs the warm-up already
+// met, and for the tiled engine serial and threaded. The full-rebuild engine
 // gets the same audit: its warm intervals reuse every buffer too, under the
 // pairwise rules and under Rule k. A router whose backbone rows are cached
 // allocates only the path of each route.
@@ -121,10 +123,10 @@ INSTANTIATE_TEST_SUITE_P(SerialAndThreaded, ZeroAllocTest,
                          });
 
 TEST(ZeroAllocTest, TiledSteadyStateAllocatesNothing) {
-  // Same audit for the tiled engine: dirty-tile rebuilds run entirely in
-  // persistent TileLocal / lane-scratch buffers once warm. The threaded
-  // path hands its chunks to the pool every interval; a warm pool forks and
-  // joins without touching the heap (DESIGN.md §5).
+  // Same audit for the tiled engine: the dirty tiles' region passes run
+  // entirely in persistent stage bitsets and workspace lane buffers once
+  // warm. The threaded path hands its chunks to the pool every interval; a
+  // warm pool forks and joins without touching the heap (DESIGN.md §5).
   for (const int threads : {1, 4}) {
     SimConfig config = steady_config(threads);
     config.engine = SimEngine::kTiled;
@@ -201,6 +203,46 @@ TEST_P(ZeroAllocTest, MovingHostsAllocateNothingOnceWarm) {
     EXPECT_EQ(allocs, 0u) << c.name << ": " << allocs
                           << " allocation(s) leaked into warm intervals "
                              "with moving hosts";
+  }
+}
+
+TEST(ZeroAllocTest, ShardedMovingHostsAllocateNothingOnceWarm) {
+  // The audits above run n <= 100, one or two bitset words, so lane 0 runs
+  // every region pass. At n = 2000 on a 632 x 632 field (paper density) a
+  // 4-lane pass cuts 16 chunks, and which lane decides which host depends
+  // on scheduling, so a lane buffer grown on demand could allocate in any
+  // warm interval. Same replay of the last warm moves as above.
+  constexpr int kWarm = 300;
+  constexpr int kCounted = 50;
+  for (const SimEngine engine : {SimEngine::kIncremental, SimEngine::kTiled}) {
+    SimConfig config = steady_config(4);
+    config.n_hosts = 2000;
+    config.field_width = 632.0;
+    config.field_height = 632.0;
+    config.engine = engine;
+    config.stay_probability = 0.5;
+    const auto lifetime_engine = make_lifetime_engine(config);
+
+    Xoshiro256 rng(2006);
+    Hosts hosts(config, rng);
+    std::vector<double> levels(static_cast<std::size_t>(config.n_hosts),
+                               1e6);
+    std::vector<std::vector<Vec2>> stretch;
+    for (int i = 0; i < kWarm; ++i) {
+      if (i >= kWarm - kCounted - 1) stretch.push_back(hosts.positions);
+      run_intervals(*lifetime_engine, hosts.positions, levels, 1);
+      hosts.move(rng);
+    }
+    run_intervals(*lifetime_engine, stretch.front(), levels, 1);
+
+    const std::size_t allocs = count_allocations([&] {
+      for (std::size_t k = 1; k < stretch.size(); ++k) {
+        run_intervals(*lifetime_engine, stretch[k], levels, 1);
+      }
+    });
+    EXPECT_EQ(allocs, 0u) << lifetime_engine->name() << " EL2: " << allocs
+                          << " allocation(s) leaked into warm sharded "
+                             "intervals with moving hosts";
   }
 }
 
